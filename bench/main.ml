@@ -36,7 +36,8 @@ module Json = Telemetry.Json
    this static list instead. *)
 let micro_names =
   [ "u256 mul_div"; "u256 sqrt"; "tick->sqrt ratio"; "sqrt ratio->tick";
-    "keccak256 (1KiB)"; "sha256 (1KiB)"; "bls sign"; "bls verify";
+    "keccak256 (1KiB)"; "sha256 (1KiB)"; "sha256 (64B)"; "rng float";
+    "bls sign"; "bls verify";
     "threshold sign 11-of-16"; "pool swap (exact in)" ]
   |> List.map (fun n -> "ammboost/" ^ n)
 
@@ -49,6 +50,7 @@ let builtin_baseline_micro_ns =
   [ ("ammboost/u256 mul_div", 1349.9); ("ammboost/u256 sqrt", 6469.2);
     ("ammboost/tick->sqrt ratio", 4546.7); ("ammboost/sqrt ratio->tick", 130382.8);
     ("ammboost/keccak256 (1KiB)", 140086.3); ("ammboost/sha256 (1KiB)", 22705.3);
+    ("ammboost/sha256 (64B)", 1621.8); ("ammboost/rng float", 1770.8);
     ("ammboost/bls sign", 17244.3); ("ammboost/bls verify", 23639.9);
     ("ammboost/threshold sign 11-of-16", 145973092.7);
     ("ammboost/pool swap (exact in)", 89366.4) ]
@@ -80,6 +82,16 @@ let micro_tests () =
   let t_sha =
     Test.make ~name:"sha256 (1KiB)"
       (Staged.stage (fun () -> Amm_crypto.Sha256.digest payload))
+  in
+  (* One compression plus padding: the size of a tx-id word or Merkle node. *)
+  let block = Bytes.make 40 'x' in
+  let t_sha_block =
+    Test.make ~name:"sha256 (64B)"
+      (Staged.stage (fun () -> Amm_crypto.Sha256.digest block))
+  in
+  let stream = Amm_crypto.Rng.create "bench-stream" in
+  let t_rng =
+    Test.make ~name:"rng float" (Staged.stage (fun () -> Amm_crypto.Rng.float stream))
   in
   let rng = Amm_crypto.Rng.create "bench" in
   let sk, pk = Amm_crypto.Bls.keygen rng in
@@ -128,8 +140,8 @@ let micro_tests () =
              ~min_amount_out:U256.zero ()))
   in
   Test.make_grouped ~name:"ammboost" ~fmt:"%s/%s"
-    [ t_muldiv; t_sqrt; t_tick; t_tick_inv; t_keccak; t_sha; t_sign; t_verify;
-      t_threshold; t_swap ]
+    [ t_muldiv; t_sqrt; t_tick; t_tick_inv; t_keccak; t_sha; t_sha_block; t_rng;
+      t_sign; t_verify; t_threshold; t_swap ]
 
 (* AMMBOOST_MICRO_QUOTA=<seconds> shrinks the per-test sampling budget —
    CI's perf-guard runs at a reduced quota so the job stays fast. *)

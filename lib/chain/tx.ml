@@ -88,23 +88,21 @@ let fields_of ~issuer ~pool payload =
     [ addr; pool_w; Encoding.bytes32_word (Ids.Position_id.to_bytes c.collect_position);
       Encoding.word c.fees0_requested; Encoding.word c.fees1_requested ]
 
+let abi_fields t = fields_of ~issuer:t.issuer ~pool:t.pool t.payload
+
 let create ?sign ~issuer ~issuer_pk ~pool ~issued_round ~issued_at payload =
   let op = op_of_payload payload in
   let fields = fields_of ~issuer ~pool payload in
-  let wire =
-    Encoding.transaction_wire ~op ~fields
-      ~padding:(Encoding.universal_router_padding op)
-  in
   (* The id commits to the round so identical re-submissions differ. *)
-  let id_input =
-    Bytes.concat Bytes.empty (fields @ [ Encoding.int_word issued_round ])
+  let id =
+    Ids.Tx_id.of_hash
+      (Amm_crypto.Sha256.concat (fields @ [ Encoding.int_word issued_round ]))
   in
-  let id = Ids.Tx_id.of_hash (Amm_crypto.Sha256.digest id_input) in
   let signature =
     Option.map (fun sk -> Amm_crypto.Bls.sign sk (Ids.Tx_id.to_bytes id)) sign
   in
   { id; issuer; issuer_pk; pool; payload; issued_round; issued_at; signature;
-    wire_size = Bytes.length wire }
+    wire_size = Encoding.ethereum_op_size op }
 
 let verify_signature t =
   match t.signature with

@@ -69,8 +69,14 @@ val create :
   issued_at:float ->
   payload ->
   t
-(** Builds a transaction: serializes the payload (fixing [wire_size]),
-    hashes it into the id and optionally signs it. *)
+(** Builds a transaction: hashes the payload's ABI fields into the id,
+    sizes it as its universal-router wire encoding ([wire_size]) and
+    optionally signs it. *)
+
+val abi_fields : t -> bytes list
+(** The genuine ABI words of the transaction (issuer, pool, then the
+    payload's fields): its wire calldata before router padding, and with
+    the issued round appended, the preimage of its id. *)
 
 val verify_signature : t -> bool
 (** True when the transaction carries a valid signature of its id under

@@ -1,16 +1,20 @@
-(* Keccak-f[1600] with 64-bit lanes held in Int64; rate 1088 bits (136 bytes),
+(* Keccak-f[1600] with 64-bit lanes; rate 1088 bits (136 bytes),
    capacity 512, output 256 bits, multi-rate padding with suffix 0x01.
 
-   The permutation runs against a reusable context: the theta/chi lane
-   indices and the rho+pi destinations are precomputed tables (no [mod 5]
-   in the round loop), and the c/d/b scratch arrays live in the context
-   instead of being allocated per call. One-shot [digest] runs on a
+   The 25 lanes live little-endian in a 200-byte [Bytes] state and are
+   read and written with [get_int64_le]/[set_int64_le], so lane updates
+   stay unboxed (an [int64 array] would box every write) and the digest
+   is the first 32 state bytes as they lie. Theta's column parities and
+   chi's row inputs are locals; rho+pi writes through a precomputed
+   destination table into a second 200-byte buffer. The permutation runs
+   against a reusable context, and one-shot [digest] runs on a
    domain-local context through the streaming [feed]/[finalize] API, so
    it neither allocates scratch nor copies the input into a padded
    buffer. *)
 
 let rounds = 24
 let rate_bytes = 136
+let state_bytes = 200
 
 let round_constants =
   [| 0x0000000000000001L; 0x0000000000008082L; 0x800000000000808aL;
@@ -30,86 +34,87 @@ let rotation_offsets =
      41; 45; 15; 21; 8;
      18; 2; 61; 56; 14 |]
 
-(* Index tables hoisted out of the round loop. For lane i = x + 5y:
-   rho+pi writes b.(pi_dst.(i)) from state.(i); chi combines
-   b.(i), b.(chi1.(i)), b.(chi2.(i)); theta's d.(x) mixes columns
-   (x+4) mod 5 and (x+1) mod 5. *)
+(* For lane i = x + 5y, rho+pi moves state lane i to b lane pi_dst.(i). *)
 let pi_dst =
   Array.init 25 (fun i ->
       let x = i mod 5 and y = i / 5 in
       ((2 * x) + (3 * y)) mod 5 * 5 + y)
 
-let chi1 = Array.init 25 (fun i -> (i / 5 * 5) + ((i + 1) mod 5))
-let chi2 = Array.init 25 (fun i -> (i / 5 * 5) + ((i + 2) mod 5))
-let prev5 = [| 4; 0; 1; 2; 3 |]
-let next5 = [| 1; 2; 3; 4; 0 |]
+let[@inline] lane s i = Bytes.get_int64_le s (8 * i)
+let[@inline] set_lane s i v = Bytes.set_int64_le s (8 * i) v
 
-let rotl64 x n =
-  if n = 0 then x
-  else Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
+(* Rotation by 1..63; offset 0 only occurs at lane 0, handled apart. *)
+let[@inline] rotl64 x n =
+  Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
 
 type ctx = {
-  st : int64 array; (* 25 lanes *)
-  c : int64 array; (* theta column parities, 5 *)
-  d : int64 array; (* theta deltas, 5 *)
-  b : int64 array; (* rho+pi output, 25 *)
+  st : Bytes.t; (* 25 lanes, little-endian *)
+  b : Bytes.t; (* rho+pi output, 25 lanes *)
   buf : Bytes.t; (* one partial rate block *)
   mutable fill : int; (* bytes buffered in [buf] *)
 }
 
 let init () =
-  { st = Array.make 25 0L; c = Array.make 5 0L; d = Array.make 5 0L;
-    b = Array.make 25 0L; buf = Bytes.create rate_bytes; fill = 0 }
+  { st = Bytes.make state_bytes '\000'; b = Bytes.create state_bytes;
+    buf = Bytes.create rate_bytes; fill = 0 }
 
 let reset ctx =
-  Array.fill ctx.st 0 25 0L;
+  Bytes.fill ctx.st 0 state_bytes '\000';
   ctx.fill <- 0
 
+let[@inline] xor_lane s i v = set_lane s i (Int64.logxor (lane s i) v)
+
+(* Theta's parity of column [x]. *)
+let[@inline] col s x =
+  Int64.logxor (lane s x)
+    (Int64.logxor (lane s (x + 5))
+       (Int64.logxor (lane s (x + 10))
+          (Int64.logxor (lane s (x + 15)) (lane s (x + 20)))))
+
+let[@inline] chi x y z = Int64.logxor x (Int64.logand (Int64.lognot y) z)
+
 let keccak_f ctx =
-  let state = ctx.st and c = ctx.c and d = ctx.d and b = ctx.b in
+  let st = ctx.st and b = ctx.b in
   for round = 0 to rounds - 1 do
     (* theta *)
-    for x = 0 to 4 do
-      Array.unsafe_set c x
-        (Int64.logxor (Array.unsafe_get state x)
-           (Int64.logxor (Array.unsafe_get state (x + 5))
-              (Int64.logxor (Array.unsafe_get state (x + 10))
-                 (Int64.logxor (Array.unsafe_get state (x + 15))
-                    (Array.unsafe_get state (x + 20))))))
-    done;
-    for x = 0 to 4 do
-      Array.unsafe_set d x
-        (Int64.logxor
-           (Array.unsafe_get c (Array.unsafe_get prev5 x))
-           (rotl64 (Array.unsafe_get c (Array.unsafe_get next5 x)) 1))
-    done;
-    for i = 0 to 24 do
-      Array.unsafe_set state i
-        (Int64.logxor (Array.unsafe_get state i) (Array.unsafe_get d (i mod 5)))
+    let c0 = col st 0 and c1 = col st 1 and c2 = col st 2 and c3 = col st 3 in
+    let c4 = col st 4 in
+    let d0 = Int64.logxor c4 (rotl64 c1 1) and d1 = Int64.logxor c0 (rotl64 c2 1) in
+    let d2 = Int64.logxor c1 (rotl64 c3 1) and d3 = Int64.logxor c2 (rotl64 c4 1) in
+    let d4 = Int64.logxor c3 (rotl64 c0 1) in
+    for y = 0 to 4 do
+      let i = 5 * y in
+      xor_lane st i d0;
+      xor_lane st (i + 1) d1;
+      xor_lane st (i + 2) d2;
+      xor_lane st (i + 3) d3;
+      xor_lane st (i + 4) d4
     done;
     (* rho + pi *)
-    for i = 0 to 24 do
-      Array.unsafe_set b (Array.unsafe_get pi_dst i)
-        (rotl64 (Array.unsafe_get state i) (Array.unsafe_get rotation_offsets i))
+    set_lane b 0 (lane st 0);
+    for i = 1 to 24 do
+      set_lane b (Array.unsafe_get pi_dst i)
+        (rotl64 (lane st i) (Array.unsafe_get rotation_offsets i))
     done;
     (* chi *)
-    for i = 0 to 24 do
-      Array.unsafe_set state i
-        (Int64.logxor (Array.unsafe_get b i)
-           (Int64.logand
-              (Int64.lognot (Array.unsafe_get b (Array.unsafe_get chi1 i)))
-              (Array.unsafe_get b (Array.unsafe_get chi2 i))))
+    for y = 0 to 4 do
+      let i = 5 * y in
+      let b0 = lane b i and b1 = lane b (i + 1) and b2 = lane b (i + 2) in
+      let b3 = lane b (i + 3) and b4 = lane b (i + 4) in
+      set_lane st i (chi b0 b1 b2);
+      set_lane st (i + 1) (chi b1 b2 b3);
+      set_lane st (i + 2) (chi b2 b3 b4);
+      set_lane st (i + 3) (chi b3 b4 b0);
+      set_lane st (i + 4) (chi b4 b0 b1)
     done;
     (* iota *)
-    state.(0) <- Int64.logxor state.(0) (Array.unsafe_get round_constants round)
+    xor_lane st 0 (Array.unsafe_get round_constants round)
   done
 
 (* XOR one rate block at [off] in [src] into the state and permute. *)
 let absorb ctx src off =
-  let st = ctx.st in
   for i = 0 to (rate_bytes / 8) - 1 do
-    Array.unsafe_set st i
-      (Int64.logxor (Array.unsafe_get st i) (Bytes.get_int64_le src (off + (8 * i))))
+    xor_lane ctx.st i (Bytes.get_int64_le src (off + (8 * i)))
   done;
   keccak_f ctx
 
@@ -146,10 +151,7 @@ let finalize ctx =
   Bytes.set ctx.buf (rate_bytes - 1)
     (Char.chr (Char.code (Bytes.get ctx.buf (rate_bytes - 1)) lor 0x80));
   absorb ctx ctx.buf 0;
-  let out = Bytes.create 32 in
-  for i = 0 to 3 do
-    Bytes.set_int64_le out (8 * i) ctx.st.(i)
-  done;
+  let out = Bytes.sub ctx.st 0 32 in
   (* Leave the context ready for the next message. *)
   reset ctx;
   out

@@ -1,52 +1,48 @@
+(* SHA-256 in counter mode: draw [i] reads the digest of
+   [seed ^ le64 i]. Scalar draws read their 56 bits straight from the
+   first two digest words; byte draws copy digest bytes out. Both run on
+   the stream's precomputed key (rounds 0–7 done once), so a scalar draw
+   allocates nothing. *)
+
 module U256 = Amm_math.U256
 
-type t = { seed : bytes; mutable counter : int }
+type t = { seed : bytes; key : Sha256.counter_key; mutable counter : int }
 
-let create seed = { seed = Sha256.digest_string seed; counter = 0 }
+let of_seed seed = { seed; key = Sha256.counter_key seed; counter = 0 }
+let create seed = of_seed (Sha256.digest_string seed)
 
 let split t label =
-  { seed = Sha256.concat [ t.seed; Bytes.of_string ("/" ^ label) ]; counter = 0 }
+  of_seed (Sha256.concat [ t.seed; Bytes.unsafe_of_string ("/" ^ label) ])
 
-let next_block t =
-  let ctr = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set ctr i (Char.chr ((t.counter lsr (8 * i)) land 0xFF))
-  done;
-  t.counter <- t.counter + 1;
-  Sha256.concat [ t.seed; ctr ]
+let next t =
+  let c = t.counter in
+  t.counter <- c + 1;
+  c
+
+(* The first 7 bytes of the next block, big-endian. *)
+let bits56 t = Sha256.counter_bits56 t.key (next t)
 
 let bytes t n =
   let out = Bytes.create n in
   let filled = ref 0 in
   while !filled < n do
-    let blk = next_block t in
     let take = Stdlib.min 32 (n - !filled) in
-    Bytes.blit blk 0 out !filled take;
+    Sha256.counter_into t.key (next t) out !filled take;
     filled := !filled + take
   done;
   out
 
-let u256 t = U256.of_bytes_be (next_block t)
+let u256 t = U256.of_bytes_be (bytes t 32)
 let field t = Field.of_u256 (u256 t)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* 62 uniform bits are plenty; modulo bias is negligible for the bounds
+  (* 56 uniform bits are plenty; modulo bias is negligible for the bounds
      used in the simulation (all far below 2^31). *)
-  let blk = next_block t in
-  let v = ref 0 in
-  for i = 0 to 6 do
-    v := (!v lsl 8) lor Char.code (Bytes.get blk i)
-  done;
-  !v land max_int mod n
+  bits56 t mod n
 
 let float t =
-  let blk = next_block t in
-  let v = ref 0 in
-  for i = 0 to 6 do
-    v := (!v lsl 8) lor Char.code (Bytes.get blk i)
-  done;
-  float_of_int (!v land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53)
+  float_of_int (bits56 t land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53)
 
 let bool t = int t 2 = 1
 

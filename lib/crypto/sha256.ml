@@ -1,12 +1,21 @@
-(* FIPS 180-4 SHA-256 over 32-bit words; words are kept in native ints and
-   masked to 32 bits after every operation.
+(* FIPS 180-4 SHA-256 over 32-bit words held in native ints.
+
+   Rotations work on the word duplicated into the upper half,
+   [d = x lor (x lsl 32)], so [rotr x n = (d lsr n) land mask32] and a
+   Σ costs three shifts. Bits above 31 never reach the low word through
+   xor, and, or or add, so intermediate values carry junk up there and
+   are masked only where they are stored or feed a rotation.
 
    The compression function runs against a reusable context (hash state,
    message schedule and one partial block), exposed both as a streaming
    [feed]/[finalize] API and as one-shot digests on a domain-local
-   context — so hot callers like the Merkle tree builder and the
-   deterministic RNG pay no per-call scratch allocation and no padded
-   input copy. *)
+   context — so hot callers like the Merkle tree build allocate no
+   per-call working arrays and copy no padded input.
+
+   Counter mode: the RNG hashes [key ^ le64 counter] for a fixed 32-byte
+   key. That 40-byte message pads to one block whose words 0–7 are the
+   key, and rounds 0–7 read only those words, so [counter_key] runs them
+   once per key and every counter block runs rounds 8–63. *)
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -23,11 +32,12 @@ let k =
 
 let mask32 = 0xFFFFFFFF
 let block_bytes = 64
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
 let iv =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
      0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
+let zero8 = Array.make 8 0
 
 type ctx = {
   h : int array; (* 8 chaining words *)
@@ -46,48 +56,97 @@ let reset ctx =
   ctx.fill <- 0;
   ctx.total <- 0
 
-(* Compress the 64-byte block at [off] in [src] into the chaining state. *)
-let compress ctx src off =
-  let h = ctx.h and w = ctx.w in
-  for t = 0 to 15 do
-    Array.unsafe_set w t
-      ((Char.code (Bytes.get src (off + (4 * t))) lsl 24)
-      lor (Char.code (Bytes.get src (off + (4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get src (off + (4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get src (off + (4 * t) + 3)))
-  done;
+(* Schedule words 16–63 from words 0–15. *)
+let expand w =
   for t = 16 to 63 do
-    let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let dx = x lor (x lsl 32) and dy = y lor (y lsl 32) in
+    let s0 = (dx lsr 7) lxor (dx lsr 18) lxor (x lsr 3) in
+    let s1 = (dy lsr 17) lxor (dy lsr 19) lxor (y lsr 10) in
     Array.unsafe_set w t
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
       land mask32)
+  done
+
+let[@inline] sigma1 e =
+  let d = e lor (e lsl 32) in
+  (d lsr 6) lxor (d lsr 11) lxor (d lsr 25)
+
+let[@inline] sigma0 a =
+  let d = a lor (a lsl 32) in
+  (d lsr 2) lxor (d lsr 13) lxor (d lsr 22)
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land (b lor c)) lor (b land c)
+let[@inline] kw k w t = Array.unsafe_get k t + Array.unsafe_get w t
+
+(* Rounds [first..last] ([first] and [last + 1] multiples of 8) on
+   working variables loaded from the first 8 slots of [s]; stores
+   [base.(i) + var_i] into [dst] ([dst] may be [s]). [w] holds at least
+   [last + 1] words. Each round writes only the two variables that
+   change (the next round's [a] and [e]); unrolling by 8 rotates their
+   roles back into place. *)
+let rounds w first last s base dst =
+  let k = k in
+  let a = ref (Array.unsafe_get s 0) and b = ref (Array.unsafe_get s 1) in
+  let c = ref (Array.unsafe_get s 2) and d = ref (Array.unsafe_get s 3) in
+  let e = ref (Array.unsafe_get s 4) and f = ref (Array.unsafe_get s 5) in
+  let g = ref (Array.unsafe_get s 6) and h = ref (Array.unsafe_get s 7) in
+  for j = first / 8 to last / 8 do
+    let t = 8 * j in
+    let t1 = !h + sigma1 !e + ch !e !f !g + kw k w t in
+    d := (!d + t1) land mask32;
+    h := (t1 + sigma0 !a + maj !a !b !c) land mask32;
+    let t1 = !g + sigma1 !d + ch !d !e !f + kw k w (t + 1) in
+    c := (!c + t1) land mask32;
+    g := (t1 + sigma0 !h + maj !h !a !b) land mask32;
+    let t1 = !f + sigma1 !c + ch !c !d !e + kw k w (t + 2) in
+    b := (!b + t1) land mask32;
+    f := (t1 + sigma0 !g + maj !g !h !a) land mask32;
+    let t1 = !e + sigma1 !b + ch !b !c !d + kw k w (t + 3) in
+    a := (!a + t1) land mask32;
+    e := (t1 + sigma0 !f + maj !f !g !h) land mask32;
+    let t1 = !d + sigma1 !a + ch !a !b !c + kw k w (t + 4) in
+    h := (!h + t1) land mask32;
+    d := (t1 + sigma0 !e + maj !e !f !g) land mask32;
+    let t1 = !c + sigma1 !h + ch !h !a !b + kw k w (t + 5) in
+    g := (!g + t1) land mask32;
+    c := (t1 + sigma0 !d + maj !d !e !f) land mask32;
+    let t1 = !b + sigma1 !g + ch !g !h !a + kw k w (t + 6) in
+    f := (!f + t1) land mask32;
+    b := (t1 + sigma0 !c + maj !c !d !e) land mask32;
+    let t1 = !a + sigma1 !f + ch !f !g !h + kw k w (t + 7) in
+    e := (!e + t1) land mask32;
+    a := (t1 + sigma0 !b + maj !b !c !d) land mask32
   done;
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 =
-      (!hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask32
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g; g := !f; f := !e;
-    e := (!d + t1) land mask32;
-    d := !c; c := !b; b := !a;
-    a := (t1 + t2) land mask32
+  Array.unsafe_set dst 0 ((Array.unsafe_get base 0 + !a) land mask32);
+  Array.unsafe_set dst 1 ((Array.unsafe_get base 1 + !b) land mask32);
+  Array.unsafe_set dst 2 ((Array.unsafe_get base 2 + !c) land mask32);
+  Array.unsafe_set dst 3 ((Array.unsafe_get base 3 + !d) land mask32);
+  Array.unsafe_set dst 4 ((Array.unsafe_get base 4 + !e) land mask32);
+  Array.unsafe_set dst 5 ((Array.unsafe_get base 5 + !f) land mask32);
+  Array.unsafe_set dst 6 ((Array.unsafe_get base 6 + !g) land mask32);
+  Array.unsafe_set dst 7 ((Array.unsafe_get base 7 + !h) land mask32)
+
+(* [Bytes.get_int32_be] without its bounds check: [compress] checks
+   the whole block once. *)
+external get_int32_ne_unsafe : bytes -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] get_word_be_unsafe b i =
+  let v = get_int32_ne_unsafe b i in
+  Int32.to_int (if Sys.big_endian then v else swap32 v) land mask32
+
+(* Compress the 64-byte block at [off] in [src] into the chaining state. *)
+let compress ctx src off =
+  if off < 0 || off > Bytes.length src - block_bytes then
+    invalid_arg "Sha256.compress";
+  let w = ctx.w in
+  for t = 0 to 15 do
+    Array.unsafe_set w t (get_word_be_unsafe src (off + (4 * t)))
   done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+  expand w;
+  rounds w 0 63 ctx.h ctx.h ctx.h
 
 let feed ctx input =
   let len = Bytes.length input in
@@ -114,6 +173,20 @@ let feed ctx input =
 
 let feed_string ctx s = feed ctx (Bytes.unsafe_of_string s)
 
+(* Big-endian bytes of the first [len] (at most 32) bytes of the 8 words
+   in [h], written at [off] in [dst]. *)
+let output h dst off len =
+  if len < 0 || len > 32 || off < 0 || off > Bytes.length dst - len then
+    invalid_arg "Sha256.output";
+  for i = 0 to (len / 4) - 1 do
+    Bytes.set_int32_be dst (off + (4 * i)) (Int32.of_int (Array.unsafe_get h i))
+  done;
+  for i = len land lnot 3 to len - 1 do
+    Bytes.unsafe_set dst (off + i)
+      (Char.unsafe_chr
+         ((Array.unsafe_get h (i / 4) lsr (24 - (8 * (i land 3)))) land 0xFF))
+  done
+
 let finalize ctx =
   (* Padding: 0x80, zeros, 64-bit big-endian bit length. *)
   let bitlen = ctx.total * 8 in
@@ -125,19 +198,10 @@ let finalize ctx =
     ctx.fill <- 0
   end;
   Bytes.fill ctx.buf ctx.fill (block_bytes - ctx.fill) '\000';
-  for i = 0 to 7 do
-    Bytes.set ctx.buf (block_bytes - 1 - i)
-      (Char.chr ((bitlen lsr (8 * i)) land 0xFF))
-  done;
+  Bytes.set_int64_be ctx.buf (block_bytes - 8) (Int64.of_int bitlen);
   compress ctx ctx.buf 0;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let h = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((h lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((h lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((h lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (h land 0xFF))
-  done;
+  output ctx.h out 0 32;
   reset ctx;
   out
 
@@ -151,7 +215,7 @@ let digest input =
   feed ctx input;
   finalize ctx
 
-let digest_string s = digest (Bytes.of_string s)
+let digest_string s = digest (Bytes.unsafe_of_string s)
 let hex s = Hex.of_bytes (digest_string s)
 
 let concat parts =
@@ -160,3 +224,49 @@ let concat parts =
   reset ctx;
   List.iter (fun p -> feed ctx p) parts;
   finalize ctx
+
+(* ------------------------------------------------------------------ *)
+(* Counter mode                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Slots 0–7: the working variables after round 7; slots 8–15: the key
+   as message words 0–7. *)
+type counter_key = int array
+
+let counter_key key =
+  if Bytes.length key <> 32 then invalid_arg "Sha256.counter_key";
+  let ck = Array.make 16 0 in
+  for i = 0 to 7 do
+    ck.(8 + i) <- Int32.to_int (Bytes.get_int32_be key (4 * i)) land mask32
+  done;
+  let w = (Domain.DLS.get dls_ctx).w in
+  Array.blit ck 8 w 0 8;
+  rounds w 0 7 iv zero8 ck;
+  ck
+
+(* Big-endian word of 4 little-endian counter bytes. *)
+let le_word x =
+  ((x land 0xFF) lsl 24) lor ((x land 0xFF00) lsl 8)
+  lor ((x lsr 8) land 0xFF00) lor ((x lsr 24) land 0xFF)
+
+(* The digest of [key ^ le64 counter], left as 8 words in the
+   domain-local context's chaining state (digest/concat reset it). *)
+let counter_block ck counter =
+  let ctx = Domain.DLS.get dls_ctx in
+  let w = ctx.w in
+  Array.blit ck 8 w 0 8;
+  Array.unsafe_set w 8 (le_word (counter land mask32));
+  Array.unsafe_set w 9 (le_word ((counter lsr 32) land mask32));
+  Array.unsafe_set w 10 0x80000000;
+  Array.fill w 11 4 0;
+  Array.unsafe_set w 15 (40 * 8);
+  expand w;
+  rounds w 8 63 ck iv ctx.h;
+  ctx.h
+
+let counter_bits56 ck counter =
+  let h = counter_block ck counter in
+  (Array.unsafe_get h 0 lsl 24) lor (Array.unsafe_get h 1 lsr 8)
+
+let counter_into ck counter dst off len =
+  output (counter_block ck counter) dst off len

@@ -54,29 +54,63 @@ let sample_swap ?sign () =
          amount_specified = U256.of_int 1000; amount_limit = U256.zero;
          sqrt_price_limit = U256.zero; deadline = 100 })
 
-let test_tx_wire_sizes () =
-  (* The Ethereum-encoded wire sizes must match the Table 8 model. *)
+(* One transaction of each op by the sample user, with the id each had
+   under the original encoding: the id preimage is pinned here, as the
+   RNG streams are in the crypto suite. Burn and collect share a field
+   layout, so equal amounts give equal ids. *)
+let sample_ops () =
   let _, pk, addr = user () in
-  let mk payload =
-    (Tx.create ~issuer:addr ~issuer_pk:pk ~pool:0 ~issued_round:0 ~issued_at:0.0 payload)
-      .Tx.wire_size
-  in
   let pid = Ids.Position_id.of_hash (Amm_crypto.Sha256.digest_string "p") in
-  Alcotest.(check int) "swap" (Encoding.ethereum_op_size Encoding.Op_swap)
-    (mk (Tx.Swap
-           { zero_for_one = false; kind = Tx.Exact_output;
-             amount_specified = U256.one; amount_limit = U256.one;
-             sqrt_price_limit = U256.zero; deadline = 1 }));
-  Alcotest.(check int) "mint" (Encoding.ethereum_op_size Encoding.Op_mint)
-    (mk (Tx.Mint
-           { lower_tick = -60; upper_tick = 60; amount0_desired = U256.one;
-             amount1_desired = U256.one; target = Tx.New_position }));
-  Alcotest.(check int) "burn" (Encoding.ethereum_op_size Encoding.Op_burn)
-    (mk (Tx.Burn { burn_position = pid; amount0_requested = U256.one;
-                   amount1_requested = U256.one }));
-  Alcotest.(check int) "collect" (Encoding.ethereum_op_size Encoding.Op_collect)
-    (mk (Tx.Collect { collect_position = pid; fees0_requested = U256.one;
-                      fees1_requested = U256.one }))
+  let mk payload =
+    Tx.create ~issuer:addr ~issuer_pk:pk ~pool:0 ~issued_round:0 ~issued_at:0.0 payload
+  in
+  [ ( Encoding.Op_swap,
+      "8102dda13d3a3829dd50a3d2e30f40e3cf4081d98a9a92110baec3ff012b5cbb",
+      mk (Tx.Swap
+            { zero_for_one = false; kind = Tx.Exact_output;
+              amount_specified = U256.one; amount_limit = U256.one;
+              sqrt_price_limit = U256.zero; deadline = 1 }) );
+    ( Encoding.Op_mint,
+      "dd3395a1f24db35a66fd2ed91e957d943b47e27b9f5b8a952d35752dc75cb9d8",
+      mk (Tx.Mint
+            { lower_tick = -60; upper_tick = 60; amount0_desired = U256.one;
+              amount1_desired = U256.one; target = Tx.New_position }) );
+    ( Encoding.Op_burn,
+      "46fd8801b958d04ed96d4bbd0447728b2a7f65c86cb69b53d45fa7225a85f8ba",
+      mk (Tx.Burn { burn_position = pid; amount0_requested = U256.one;
+                    amount1_requested = U256.one }) );
+    ( Encoding.Op_collect,
+      "46fd8801b958d04ed96d4bbd0447728b2a7f65c86cb69b53d45fa7225a85f8ba",
+      mk (Tx.Collect { collect_position = pid; fees0_requested = U256.one;
+                       fees1_requested = U256.one }) ) ]
+
+let test_tx_wire_sizes () =
+  (* The Ethereum-encoded wire sizes must match the Table 8 model and the
+     length of the real wire encoding. *)
+  List.iter
+    (fun (op, _, tx) ->
+      let name = Tx.type_name tx.Tx.payload in
+      Alcotest.(check int) name (Encoding.ethereum_op_size op) tx.Tx.wire_size;
+      let wire =
+        Encoding.transaction_wire ~op ~fields:(Tx.abi_fields tx)
+          ~padding:(Encoding.universal_router_padding op)
+      in
+      Alcotest.(check int) (name ^ " wire") (Bytes.length wire) tx.Tx.wire_size)
+    (sample_ops ())
+
+let test_tx_ids_pinned () =
+  List.iter
+    (fun (_, id, tx) ->
+      let name = Tx.type_name tx.Tx.payload in
+      Alcotest.(check string) name id
+        (Amm_crypto.Hex.of_bytes (Ids.Tx_id.to_bytes tx.Tx.id));
+      let preimage =
+        Bytes.concat Bytes.empty
+          (Tx.abi_fields tx @ [ Encoding.int_word tx.Tx.issued_round ])
+      in
+      Alcotest.(check string) (name ^ " preimage") id
+        (Amm_crypto.Hex.of_bytes (Amm_crypto.Sha256.digest preimage)))
+    (sample_ops ())
 
 let test_tx_table8_sizes () =
   (* Concrete Table 8 values. *)
@@ -234,7 +268,8 @@ let () =
           Alcotest.test_case "sepolia sizes" `Quick test_tx_sepolia_sizes;
           Alcotest.test_case "signature" `Quick test_tx_signature;
           Alcotest.test_case "id freshness" `Quick test_tx_id_depends_on_round;
-          Alcotest.test_case "word encodings" `Quick test_word_encodings ] );
+          Alcotest.test_case "word encodings" `Quick test_word_encodings;
+          Alcotest.test_case "ids pinned" `Quick test_tx_ids_pinned ] );
       ( "ledger",
         [ Alcotest.test_case "append/confirm" `Quick test_ledger_append_confirm;
           Alcotest.test_case "rollback" `Quick test_ledger_rollback;

@@ -30,6 +30,102 @@ let test_sha256_block_boundaries () =
       Alcotest.(check int) (Printf.sprintf "len %d" n) 32 (Bytes.length d))
     [ 54; 55; 56; 63; 64; 65; 119; 120; 128 ]
 
+(* The original byte-wise compression function, kept as a test-local
+   reference: a full SHA-256 over a padded copy of the input. *)
+module Sha256_reference = struct
+  let k =
+    [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+       0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+       0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+       0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+       0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+       0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+       0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+       0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+       0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+       0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+       0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+
+  let mask32 = 0xFFFFFFFF
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+
+  let compress h w src off =
+    for t = 0 to 15 do
+      w.(t) <-
+        (Char.code (Bytes.get src (off + (4 * t))) lsl 24)
+        lor (Char.code (Bytes.get src (off + (4 * t) + 1)) lsl 16)
+        lor (Char.code (Bytes.get src (off + (4 * t) + 2)) lsl 8)
+        lor Char.code (Bytes.get src (off + (4 * t) + 3))
+    done;
+    for t = 16 to 63 do
+      let w15 = w.(t - 15) and w2 = w.(t - 2) in
+      let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+      let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for t = 0 to 63 do
+      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = (!e land !f) lxor (lnot !e land !g) in
+      let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask32 in
+      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+      let t2 = (s0 + maj) land mask32 in
+      hh := !g; g := !f; f := !e;
+      e := (!d + t1) land mask32;
+      d := !c; c := !b; b := !a;
+      a := (t1 + t2) land mask32
+    done;
+    List.iteri
+      (fun i v -> h.(i) <- (h.(i) + v) land mask32)
+      [ !a; !b; !c; !d; !e; !f; !g; !hh ]
+
+  let digest input =
+    let len = Bytes.length input in
+    let padded_len = (len + 9 + 63) / 64 * 64 in
+    let msg = Bytes.make padded_len '\000' in
+    Bytes.blit input 0 msg 0 len;
+    Bytes.set msg len '\x80';
+    for i = 0 to 7 do
+      Bytes.set msg (padded_len - 1 - i) (Char.chr (((len * 8) lsr (8 * i)) land 0xFF))
+    done;
+    let h =
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+         0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+    in
+    let w = Array.make 64 0 in
+    for blk = 0 to (padded_len / 64) - 1 do
+      compress h w msg (64 * blk)
+    done;
+    Bytes.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (24 - (8 * (i mod 4)))) land 0xFF))
+end
+
+(* [digest], [concat] and chunked [feed] all equal the reference. *)
+let reference_props =
+  [ prop "sha256 digest = reference" gen_msg (fun m ->
+        Bytes.equal (Sha256.digest m) (Sha256_reference.digest m));
+    prop "sha256 concat = reference"
+      QCheck2.Gen.(pair gen_msg (int_range 0 300))
+      (fun (m, cut) ->
+        let cut = Stdlib.min cut (Bytes.length m) in
+        Bytes.equal
+          (Sha256.concat
+             [ Bytes.sub m 0 cut; Bytes.empty; Bytes.sub m cut (Bytes.length m - cut) ])
+          (Sha256_reference.digest m));
+    prop "sha256 chunked feed = reference"
+      QCheck2.Gen.(pair gen_msg (int_range 1 70))
+      (fun (m, chunk) ->
+        let ctx = Sha256.init () in
+        let len = Bytes.length m in
+        let pos = ref 0 in
+        while !pos < len do
+          let n = Stdlib.min chunk (len - !pos) in
+          Sha256.feed ctx (Bytes.sub m !pos n);
+          pos := !pos + n
+        done;
+        Bytes.equal (Sha256.finalize ctx) (Sha256_reference.digest m)) ]
+
 (* ------------------------------------------------------------------ *)
 (* Keccak-256 (Ethereum vectors)                                       *)
 (* ------------------------------------------------------------------ *)
@@ -449,6 +545,220 @@ let test_merkle_proof_length () =
 (* RNG                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Pinned streams: the first 32 values of each draw kind, each from a
+   fresh stream, for [Rng.create "golden"] and one [split] child. The
+   values were captured from the original byte-wise implementation; every
+   simulation result depends on them, so a changed stream must fail here. *)
+type golden = {
+  ints : int list; (* Rng.int r max_int: the raw 56-bit draw *)
+  floats : int list; (* Rng.float r scaled by 2^53 (exact) *)
+  bools : string;
+  u256s : string list; (* hex *)
+  bytes12 : string list; (* hex of 32 draws of Rng.bytes r 12, concatenated *)
+  bytes70 : string list; (* hex of the 33rd draw, Rng.bytes r 70 *)
+}
+
+let golden_root =
+  { ints =
+      [ 71359378078801704; 60415848777031804; 51642967445271125; 45439548616591998;
+        32516600221503202; 45676687940977172; 54860606405618813; 12261874524559306;
+        10537767804210118; 36331590087594075; 67380593149447709; 58849183424182135;
+        32315059630835842; 38817909637817987; 41423889567580063; 13017684308754220;
+        32799984297294761; 58528886872403731; 60385589722614142; 35611223762941306;
+        11235218466822870; 16189026121560582; 59059168637578574; 23072882410029011;
+        14279294793658590; 23488572066726740; 5087542186541494; 70242164696278323;
+        10281079398919522; 1428411669693651; 59388732165750227; 51029107655190600 ];
+    floats =
+      [ 8308983295614760; 6372653248585852; 6606971171566165; 403552342887038;
+        5495002457280226; 640691667272212; 817410877172861; 3254675269818314;
+        1530568549469126; 302793068630107; 4330198366260765; 4805987895736183;
+        5293461866612866; 2789112618854019; 5395092548616095; 4010485054013228;
+        5778386533071785; 4485691343957779; 6342394194168190; 8589625998718330;
+        2228019212081878; 7181826866819590; 5015973109132622; 5058483900547027;
+        5272095538917598; 5474173557244756; 5087542186541494; 7191769913091379;
+        1273880144178530; 1428411669693651; 5345536637304275; 5993111381485640 ];
+    bools = "00100010011101101100000100010110";
+    u256s =
+      [ "fd84f9edc79f28484ee298f40baec1f78a2cb9586e88983c15a5e9382b9a47ac";
+        "d6a3e4f528a07c26b5802857f914c3f095c5e9c2c09ce9a6e90712c246b08121";
+        "b7790159b8f2555164df5e6d432b205f1d5c2aa6fca8e69f7b9f4bd2af499a7f";
+        "a16f075a0bca7ed9ba3fee3ed5d356b31e53e0db50051bb9dd005c34ddb99226";
+        "7385acf5818ee2141aaf11c5d51320824824c427c975a57aa5cff8cdb27439b1";
+        "a246b4a73d0214453c9bc7cffc1ea8fc565b66152998b45c2fe50d05e050cf7b";
+        "c2e76e4cf82c7d83f5e613246ac5ba93592b5043af7393b4bc1a79871059f231";
+        "2b901c235117cac34243202d3e2ed60f907c9375dbc44063f834fc8af03adba8";
+        "25700b42b20bc6c7124d01dd12a1669a1fc242ddac6ddedd35b89077899e4066";
+        "811363814bd05b6423f4a89d931650143582a0919522c47dd467dbc8b424e400";
+        "ef624adf6d8e1de5dae31e05cd002fa5b2f0b81e56dde32c6b22fd2643c64c3e";
+        "d113054151f7773a40af390315d77bff880030d650c736759397d8dfa91d99c6";
+        "72ce6022310882ca2d51c4547264af391889452c6f884a9d2f999c0b126e2519";
+        "89e8aee2e2a683775e43d0432f2fc0f424445337680ea493f93175a83728bd92";
+        "932acedee3ff9f6b2107a8e942d628cebe372edf434b5fe12cfcce4656e6880b";
+        "2e3f83d1057f2c46661bb65a50e85d64df590d7fe3f9d55904027089977c62cc";
+        "74876974adbba9298588bcc5e46574ec7e82a65675cddfecd8961506fe346454";
+        "cfefb66720ef139717793143f4ed64390e58e2d646c2ab3ce6490c931c66ac52";
+        "d6885fb8f8097e2581cb5f94205fbdae3e410f9ba074235c0aab56bc06a2a00e";
+        "7e84382668357ae2787718a4a364a6fe1a864b430aa682069efe3e1184686016";
+        "27ea5f25b05ad6b982552da7fb503db3ebcb18f5c962b8710decadc52614e47e";
+        "3983d55f3c3206390e690c3deb00c6b8ec03d7b5e8b4a3429feb32c697829fd3";
+        "d1d2003f5f6d4ec187e0c4596ab0f70fd89258d94369b75eb97d5080be2d6e35";
+        "51f8aa0ffe7fd3601cfa92b60095087de3feced36c64bdfe81fe81afd0dd7413";
+        "32baf165d1b0de22b9bed25c43278753f5e1765f36280af72dd55414eb5774e8";
+        "5372bb5a518354cc46cd16490f174bfb51091060a7b8f2c3422d9c160e3faa6e";
+        "121317b8cf01b60f4a277a975f1a6be7b6ae44c86ee1c89dfc7ed7eda2b8db23";
+        "f98ce06af9e5336d324ed876900ed42cf58a2132ee5b724f702c77d8c10ebeeb";
+        "248696557aed625b35922e8fecec236e6c5d17fc4c3ae59253fa2ed69fe7e877";
+        "051322022a44d3b862238dffbf1664cb8e5a747b0e8886544889772e72e7b64c";
+        "d2fdbcbc667dd375ec1831fe6b00f657ea74a232dd6bbc7fa3df4e4c303f448c";
+        "b54ab3fafe2848958515da6ecc865ddce8aa1a4a95d481dcd9a8e28e83355685" ];
+    bytes12 =
+      [ "fd84f9edc79f28484ee298f4d6a3e4f528a07c26b5802857b7790159b8f25551";
+        "64df5e6da16f075a0bca7ed9ba3fee3e7385acf5818ee2141aaf11c5a246b4a7";
+        "3d0214453c9bc7cfc2e76e4cf82c7d83f5e613242b901c235117cac34243202d";
+        "25700b42b20bc6c7124d01dd811363814bd05b6423f4a89def624adf6d8e1de5";
+        "dae31e05d113054151f7773a40af390372ce6022310882ca2d51c45489e8aee2";
+        "e2a683775e43d043932acedee3ff9f6b2107a8e92e3f83d1057f2c46661bb65a";
+        "74876974adbba9298588bcc5cfefb66720ef139717793143d6885fb8f8097e25";
+        "81cb5f947e84382668357ae2787718a427ea5f25b05ad6b982552da73983d55f";
+        "3c3206390e690c3dd1d2003f5f6d4ec187e0c45951f8aa0ffe7fd3601cfa92b6";
+        "32baf165d1b0de22b9bed25c5372bb5a518354cc46cd1649121317b8cf01b60f";
+        "4a277a97f98ce06af9e5336d324ed876248696557aed625b35922e8f05132202";
+        "2a44d3b862238dffd2fdbcbc667dd375ec1831feb54ab3fafe2848958515da6e" ];
+    bytes70 =
+      [ "d0b270315e2fb171ba7a4efd1c2d415ac60f1e0e951c195e47cc9f8575ef0efc";
+        "651730ea262ea871c1f60a81bbb4f3a14c8acc2534600d6a497b401de878fddc";
+        "c6e49c76ac0a" ] }
+
+let golden_child =
+  { ints =
+      [ 30020073178005138; 10668216995087899; 13887654210207685; 64712475277189567;
+        48461482143488622; 29121244858743896; 4535170441546221; 48234849414109887;
+        26529330240916511; 33754064921375690; 8626581321046155; 64475778424678751;
+        22243935405360221; 32905427812749991; 53070142501707521; 16201207285263758;
+        29180139989272337; 9278649109017988; 18618398141725768; 62630465425572693;
+        5459871974654662; 1009892058875214; 24921187333366948; 4813594839961689;
+        68372428912235223; 22910342132472927; 24846429664704463; 67726122420215314;
+        28585180569488559; 33126299596507610; 52566801048513858; 55717284546428949 ];
+    floats =
+      [ 2998475413782162; 1661017740346907; 4880454955466693; 1662080494002623;
+        3425485869783662; 2099647094520920; 4535170441546221; 3198853140404927;
+        8514931731434527; 6732467157152714; 8626581321046155; 1425383641491807;
+        4229536895878237; 5883830048527015; 8034146228002561; 7194008030522766;
+        2158542225049361; 271449854276996; 603999632243784; 8587269897126741;
+        5459871974654662; 1009892058875214; 6906788823884964; 4813594839961689;
+        5322034129048279; 4895943622990943; 6832031155222479; 4675727637028370;
+        1563582805265583; 6104701832284634; 7530804774808898; 1674089017982997 ];
+    bools = "01110011101111101001000111101001";
+    u256s =
+      [ "6aa718f5e7fe92f0e00e74912aebeee0797f474fecd63c27d55345a4fcb8cb94";
+        "25e6afd461061b29e9b1d83f2290888d83b1ae161a2cf0fcf11fc1f8f8e0a325";
+        "3156bf77f67fc57e9c32503cb5800981cb9701c1fa8cb94e1756af8681e6720c";
+        "e5e7a7456ee1bf0aaedd19ff02233d197b96579537229d128d506dff052c45c2";
+        "ac2b7614739a6ec80b0ddc67aa77f35d3deb5e1a6ab1c304beccc96862226c52";
+        "67759e2f38fc5808f52e093fd6cd345a6313254a720d50d3c840f0139903595b";
+        "101cb6a72a09ed2b2ed9c172c745dfe4562b9efc99b4413c634571f9cb111d32";
+        "ab5d57091f5abff82a9b50d367e4bdc22d1aed0f9411942e82708a73ca3312ad";
+        "5e404909238c1ffaa60a8a64e60982cdc93a7924b3d421619367c0a75c4a30ed";
+        "77eb24a95d33ca59fa11186c170e49f4291277d3cebe927525be7f4dc8467635";
+        "1ea5d47b44588b595813d90a65296320fcaa84c2bab40889ff32901e50ffb76b";
+        "e51060fd9ea95fcfc73feff3233a3521831b340df1ff7adda56a34c26e735354";
+        "4f06bdcc3e445d9bbd28aa2270231f58a2afab16d7d139ad2d44693d0d55b038";
+        "74e74feff612a7f6196bc0cc29d8c4edc7925269b84a707f5667121dba95b395";
+        "bc8b036ffe5f012311e64f46c3afa27b430528b5131f2f192b6990638d93418e";
+        "398ee9852bad8e780354cbcd6f6b55c2949cacefc2613277ea41009de1041ec0";
+        "67ab2ec68e8711a03d10f63a4135f5ce89d85968676c4afea8f06ece51dd346e";
+        "20f6e1d8237584d1e3f3370064f0d8571f94b8d1e0b71921dd0335b1e27a6b6c";
+        "4225559f863c488210290310786b32fffd066f34799762c22940da9f76b83663";
+        "de821393cf035500dc3475efb908ca9f4cad44d193304cec6c7bc5c7bda3f542";
+        "1365b9819182c6298c36a0cab200ef2476dac30f6d10d51787f5af36213cdc22";
+        "03967dd16e454ee657aace913fb47476cb2e695cbc45660b00674f1908a66e5f";
+        "5889b01662e4a4053832fa007481ba069fcf4bd74221c6485ba255e5e79268b8";
+        "1119f062875059627ca78713f94e18f96393ef69a0b52c0a5bbc9d9054d5cdca";
+        "f2e85ca1be92d7dd96d65a7f7f175caa7b2b6ff292e14f52e7c432a8f82edf38";
+        "5164d5b47d1c5fe385408bd6a7948233ef2c2fdde2cb9ba8cee954d8d441c612";
+        "5845b23619f7cf457b1b0c3bdb59f485f84c715016e7217709a16aa863d5e247";
+        "f09c8cacdf1e12c55fd7fd7316fd00927c797cc8ba0cb1e24319ae2a526d1ccf";
+        "658e11fdaf4cafcdae6cc2d70dd62dc76777647514d47ff87067f8a8c4f364ec";
+        "75b031a82c49da7d3f5d9c3e079b885a3374cfa4ed850cc9648bbbde026fa964";
+        "bac13a1f79ad42bcdd53860017781a2dc91e660e52b13a65cd82e317d699185b";
+        "c5f293393d401523e9c33e8858b279511a6698422d807f5d494cfe9dcea66a5e" ];
+    bytes12 =
+      [ "6aa718f5e7fe92f0e00e749125e6afd461061b29e9b1d83f3156bf77f67fc57e";
+        "9c32503ce5e7a7456ee1bf0aaedd19ffac2b7614739a6ec80b0ddc6767759e2f";
+        "38fc5808f52e093f101cb6a72a09ed2b2ed9c172ab5d57091f5abff82a9b50d3";
+        "5e404909238c1ffaa60a8a6477eb24a95d33ca59fa11186c1ea5d47b44588b59";
+        "5813d90ae51060fd9ea95fcfc73feff34f06bdcc3e445d9bbd28aa2274e74fef";
+        "f612a7f6196bc0ccbc8b036ffe5f012311e64f46398ee9852bad8e780354cbcd";
+        "67ab2ec68e8711a03d10f63a20f6e1d8237584d1e3f337004225559f863c4882";
+        "10290310de821393cf035500dc3475ef1365b9819182c6298c36a0ca03967dd1";
+        "6e454ee657aace915889b01662e4a4053832fa001119f062875059627ca78713";
+        "f2e85ca1be92d7dd96d65a7f5164d5b47d1c5fe385408bd65845b23619f7cf45";
+        "7b1b0c3bf09c8cacdf1e12c55fd7fd73658e11fdaf4cafcdae6cc2d775b031a8";
+        "2c49da7d3f5d9c3ebac13a1f79ad42bcdd538600c5f293393d401523e9c33e88" ];
+    bytes70 =
+      [ "83552be4caef8d2a34c85b49c932e9fbf17b3ad2be1def741bc934fc0014acb1";
+        "9eb249e743093f50ff5ea70147e4b028a7b54ab257341efb1e3ae32f7b6a25c1";
+        "2b0cf638a616" ] }
+
+let check_golden name mk g =
+  let draws f =
+    let r = mk () in
+    List.init 32 (fun _ -> f r)
+  in
+  Alcotest.(check (list int)) (name ^ " int") g.ints (draws (fun r -> Rng.int r max_int));
+  Alcotest.(check (list int)) (name ^ " float") g.floats
+    (draws (fun r -> int_of_float (Rng.float r *. 0x1p53)));
+  Alcotest.(check string) (name ^ " bool") g.bools
+    (String.concat "" (draws (fun r -> if Rng.bool r then "1" else "0")));
+  Alcotest.(check (list string)) (name ^ " u256") g.u256s
+    (draws (fun r -> Hex.of_bytes (U256.to_bytes_be (Rng.u256 r))));
+  let r = mk () in
+  let b12 = List.init 32 (fun _ -> Hex.of_bytes (Rng.bytes r 12)) in
+  Alcotest.(check string) (name ^ " bytes 12") (String.concat "" g.bytes12)
+    (String.concat "" b12);
+  Alcotest.(check string) (name ^ " bytes 70") (String.concat "" g.bytes70)
+    (Hex.of_bytes (Rng.bytes r 70))
+
+let test_rng_golden () =
+  check_golden "root" (fun () -> Rng.create "golden") golden_root;
+  check_golden "child" (fun () -> Rng.split (Rng.create "golden") "child") golden_child
+
+(* The one-block counter path equals the digest of [seed ^ le64 counter],
+   also where the counter's high bytes 4–7 are non-zero. *)
+let test_rng_counter_block () =
+  let le64 c =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int c);
+    b
+  in
+  let counters =
+    [ 0; 1; 0xFFFFFFFF; 0x1_0000_0000; 0x1_0000_0001; 0xFF_0000_0000;
+      0x0123_4567_89AB_CDEF; 0x3F00_0000_0000_0000; max_int ]
+  in
+  List.iter
+    (fun label ->
+      let seed = Sha256.digest_string label in
+      let key = Sha256.counter_key seed in
+      List.iter
+        (fun c ->
+          let expect = Sha256.digest (Bytes.cat seed (le64 c)) in
+          let name = Printf.sprintf "%s counter %#x" label c in
+          Alcotest.(check string) name
+            (Hex.of_bytes (Sha256_reference.digest (Bytes.cat seed (le64 c))))
+            (Hex.of_bytes expect);
+          let out = Bytes.make 34 '?' in
+          Sha256.counter_into key c out 1 32;
+          Alcotest.(check string) (name ^ " bytes") (Hex.of_bytes expect)
+            (Hex.of_bytes (Bytes.sub out 1 32));
+          Alcotest.(check char) (name ^ " no overrun") '?' (Bytes.get out 33);
+          Alcotest.(check int) (name ^ " bits56")
+            (Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_be expect 0) 8))
+            (Sha256.counter_bits56 key c))
+        counters)
+    [ "a"; "golden"; "counter-mode" ];
+  Alcotest.check_raises "short key" (Invalid_argument "Sha256.counter_key")
+    (fun () -> ignore (Sha256.counter_key (Bytes.create 31)))
+
 let test_rng_deterministic () =
   let a = Rng.create "seed" and b = Rng.create "seed" in
   for _ = 1 to 10 do
@@ -485,7 +795,8 @@ let () =
   Alcotest.run "crypto"
     [ ( "sha256",
         [ Alcotest.test_case "vectors" `Quick test_sha256_vectors;
-          Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries ] );
+          Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries ]
+        @ reference_props );
       ( "keccak256",
         [ Alcotest.test_case "vectors" `Quick test_keccak_vectors;
           Alcotest.test_case "rate boundaries" `Quick test_keccak_rate_boundaries ]
@@ -528,4 +839,6 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
-          Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes ] ) ]
+          Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden;
+          Alcotest.test_case "counter block" `Quick test_rng_counter_block ] ) ]

@@ -620,9 +620,18 @@ let summary_props =
                   (fun (u : Tokenbank.Sync_payload.user_entry) -> u.Tokenbank.Sync_payload.user)
                   pa0.Tokenbank.Sync_payload.users
            in
+           (* The position carry rides along too, as System passes it:
+              without it an epoch-1 trace that never touches epoch 0's
+              positions (e.g. mints only) would drop them from the
+              incremental summary while the full scan still diffs them. *)
+           let carry =
+             List.map
+               (fun (e : Tokenbank.Sync_payload.position_entry) -> e.Tokenbank.Sync_payload.pos_id)
+               pa0.Tokenbank.Sync_payload.positions
+           in
            let snapshot1 = { snapshot0 with Tokenbank.Token_bank.snap_epoch = 1 } in
            let a1 =
-             Processor.begin_epoch ~pool:pool_a ~snapshot:snapshot1 ~user_carry
+             Processor.begin_epoch ~pool:pool_a ~snapshot:snapshot1 ~carry ~user_carry
                ~verify_signatures:false ()
            in
            let b1 =
