@@ -9,15 +9,17 @@
    3. seeded all-layer chaos via the fault-plan engine (lib/faults/):
       probabilistic network, consensus, committee and mainchain faults
       swept by intensity, with the recovery counters and the
-      differential replay oracle verdict printed per run;
+      end-of-run bank verdict (printed as "oracle") per run — the state
+      twin's replica bank, fed the surviving bank ops, must match the
+      live TokenBank;
    4. liveness failures past the point of repair: scripted
       quorum-starvation windows and a permanent committee loss drive the
       watchdog through Degraded and Halted, parties withdraw through the
       emergency exit, and a reconciliation restores the survivors.
 
-   The drill is an executable spec: every scene's oracle verdicts
-   (custody, differential replay, exit conservation) are asserted, and
-   the process exits non-zero if any of them fail.
+   The drill is an executable spec: every scene's verdicts (custody,
+   the replica bank's, exit conservation) are asserted, and the process
+   exits non-zero if any of them fail.
 
      dune exec examples/interruption_drill.exe *)
 

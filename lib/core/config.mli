@@ -66,13 +66,17 @@ type t = {
   self_audit : bool;               (** retain per-epoch state and replay every
                                        summary through {!Sidechain.Auditor} at
                                        the end of the run (small runs) *)
-  twin_audit : bool;               (** run the state twin: a shadow copy of
-                                       bank + pool + deposit state advanced from
-                                       the live op stream and byte-compared
+  twin_audit : bool;               (** run the state twin's epoch audit: a
+                                       shadow copy of pool + deposit state
+                                       captured from the live op stream and,
+                                       with the replica bank, byte-compared
                                        against the flat stores at every epoch
                                        boundary (O(Δ) differential audit, with
-                                       divergence bisection and watchdog
-                                       escalation); on by default *)
+                                       divergence bisection, watchdog
+                                       escalation and corruption injection);
+                                       on by default. The replica bank itself
+                                       always runs: it gives the end-of-run
+                                       verdict *)
   sign_transactions : bool;        (** generate real BLS signatures on traffic *)
   swap_deadline_rounds : int;      (** swap validity window in sc rounds *)
   max_positions_per_lp : int;      (** open-position cap per LP — bounds the

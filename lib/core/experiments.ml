@@ -488,7 +488,7 @@ let print_ablation ~title rows =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Chaos soak: fault-rate sweep with recovery + replay-oracle report   *)
+(* Chaos soak: fault-rate sweep with recovery + replica-bank verdict   *)
 (* ------------------------------------------------------------------ *)
 
 let chaos_intensities = [ 0.0; 0.05; 0.1; 0.2 ]
@@ -1276,7 +1276,7 @@ let twin_overhead ?sink () =
     | None -> ());
     (r, wall)
   in
-  let _, wall_off = measure false in
+  let r_off, wall_off = measure false in
   let r_on, wall_on = measure true in
   let o =
     { tov_users = users; tov_epochs = cfg.Config.epochs;
@@ -1284,7 +1284,9 @@ let twin_overhead ?sink () =
       tov_overhead_pct = 100.0 *. ((wall_on /. Float.max 1e-9 wall_off) -. 1.0);
       tov_audits = r_on.System.twin_audits;
       tov_divergences = r_on.System.twin_divergences;
-      tov_consistent = r_on.System.twin_consistent }
+      tov_consistent =
+        r_on.System.twin_consistent && r_on.System.replay_consistent
+        && r_off.System.replay_consistent }
   in
   Printf.eprintf
     "  [twin overhead users=%d: off %.2fs, on %.2fs (%+.1f%%), %d audits]\n%!"

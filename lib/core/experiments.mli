@@ -143,8 +143,9 @@ val chaos_soak :
     swept across fault-plan intensities ({!chaos_intensities}, scaled by
     {!Faults.Fault_plan.chaos}). Extra rows report epochs applied, faults
     injected, recovery actions (mass-syncs, retries, degraded signings,
-    rollbacks) and the replay-oracle verdict — rows are deterministic in
-    the seed at any [?domains] value. *)
+    rollbacks) and the end-of-run replica-bank verdict (the "Replay
+    oracle" row, {!System.result.replay_consistent}) — rows are
+    deterministic in the seed at any [?domains] value. *)
 
 val exit_drill :
   ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
@@ -153,8 +154,8 @@ val exit_drill :
     stalled epochs, Halted at 4). Sweeps stall duration against exit gas
     cost and recovery latency; extra rows report the operating-mode
     trajectory, exits served with their claimed value, the exit
-    conservation and replay-oracle verdicts, and the reconciliation
-    summary. Deterministic at any [?domains] value. *)
+    conservation and replica-bank ("Replay oracle") verdicts, and the
+    reconciliation summary. Deterministic at any [?domains] value. *)
 
 (** {1 Crash drill} *)
 
@@ -317,14 +318,16 @@ type twin_overhead = {
   tov_audits : int;
   tov_divergences : int;
   tov_consistent : bool;
+      (** the twin-on run is twin-consistent and both runs end with the
+          replica bank agreeing with the live bank *)
 }
 
 val twin_overhead_users : unit -> int
 (** [AMMBOOST_TWIN_USERS] when set and positive, else 1000. *)
 
 val twin_overhead : ?sink:Telemetry.Report.sink -> unit -> twin_overhead
-(** One {!sweep_cfg} cell run twice in this process — twin off, then
-    twin on — under identical machine conditions; the CI gate asserts
+(** One {!sweep_cfg} cell run twice in this process — twin audit off,
+    then on — under identical machine conditions; the CI gate asserts
     the wall ratio stays within budget. Wall times go to stderr and
     {!twin_overhead_json} only, so stdout stays byte-identical across
     runs and job counts. *)

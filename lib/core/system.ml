@@ -255,31 +255,29 @@ type t = {
   mutable submissions : submission list;
   mutable pending_confirm : (int list * int * float) list;
       (* epochs, inclusion height, inclusion time *)
-  mutable checkpoints :
-    (int * Token_bank.checkpoint * int * Twin.checkpoint option) list;
-      (* height -> (state before, oracle mark before, twin mark before) *)
+  mutable checkpoints : (int * Token_bank.checkpoint * int * Twin.checkpoint) list;
+      (* height -> (state before, bank-op count before, twin mark before) *)
   mutable deposits_submitted_until : int;
   rollbacks_done : (int, unit) Hashtbl.t;
   plan : Faults.Fault_plan.t;
-  oracle : Faults.Replay_oracle.t;
-      (* end-of-run differential replay — since the twin took over the
-         continuous-audit duty this is the oracle of the oracle: an
-         independent full re-derivation that also cross-checks the twin *)
-  twin : Twin.t option;
-      (* the state twin (cfg.twin_audit): advanced from the same op
-         stream the live system applies, byte-compared against the flat
-         stores at every epoch boundary *)
+  twin : Twin.t;
+      (* the state twin: its replica bank re-derives every bank op
+         {!emit} feeds it and gives the end-of-run verdict; with
+         cfg.twin_audit it also shadows the flat stores and is
+         byte-compared against them at every epoch boundary *)
+  mutable bank_ops : int;
+      (* bank ops emitted on the surviving history: a rollback resets it
+         to the checkpoint's count, which the WAL's Truncate records *)
   mutable twin_divergence_streak : int;
       (* consecutive epoch audits ending in divergence; 2 halts the run *)
   mutable twin_reports : Twin.report list;     (* newest first *)
   mutable twin_injections : (int * string) list;  (* newest first *)
   monitor : Monitor.t;
   durable : Durable.Session.t option;
-      (* crash-consistent persistence: every oracle-visible state delta
-         is also fed through the durable session (WAL verify-or-append),
+      (* crash-consistent persistence: every emitted bank op is also
+         fed through the durable session (WAL verify-or-append),
          snapshots are taken at epoch boundaries, and the fault plan may
          kill the run at a round boundary via Session.maybe_crash *)
-  genesis_vk : Bls.public_key;
   mutable mode : mode;
   mutable mode_transitions : (float * mode) list;  (* newest first *)
   mutable signing_streak : int;
@@ -331,16 +329,19 @@ type t = {
     list;
 }
 
-(* Feed one state delta through the durable session (no-op when the run
-   is not durable). Called beside every Replay_oracle record site so the
-   WAL is exactly the oracle's op log plus rollback compensations. *)
+(* Feed one record through the durable session (no-op when the run is
+   not durable). *)
 let dur_record t r =
   match t.durable with Some s -> Durable.Session.record s r | None -> ()
 
-(* Mirror a bank-layer op into the state twin (no-op when the twin is
-   off). Called beside the oracle record sites, at execution time, so the
-   twin's replica bank advances in exactly the live application order. *)
-let twin_op t f = match t.twin with Some tw -> f tw | None -> ()
+(* The one emit point for bank ops: called right after the live
+   TokenBank applied [op], so the twin's replica bank advances in exactly
+   the live application order and the WAL is the same op stream plus
+   rollback compensations. *)
+let emit t op =
+  t.bank_ops <- t.bank_ops + 1;
+  Twin.bank_op t.twin op;
+  dur_record t (Durable.Record.Op op)
 
 (* Round-boundary crash injection: raises [Durable.Session.Crashed]. *)
 let dur_crash t ~epoch ~round =
@@ -496,11 +497,8 @@ let create ?sink ?durable cfg =
   let keys0 = make_committee_keys ~cfg ~rng_keys ~epoch:0 in
   let bank = Token_bank.deploy ~token0:erc0 ~token1:erc1 ~genesis_committee_vk:keys0.vk in
   let twin =
-    if cfg.Config.twin_audit then
-      Some
-        (Twin.create ~seed:cfg.Config.seed ~genesis_committee_vk:keys0.vk
-           ~flash_fee_pips:cfg.Config.fee_pips)
-    else None
+    Twin.create ~seed:cfg.Config.seed ~genesis_committee_vk:keys0.vk
+      ~flash_fee_pips:cfg.Config.fee_pips
   in
   let pool =
     Uniswap.Pool.create
@@ -520,8 +518,8 @@ let create ?sink ?durable cfg =
       signed_payloads = Hashtbl.create 16; submissions = [];
       pending_confirm = []; checkpoints = []; deposits_submitted_until = -1;
       rollbacks_done = Hashtbl.create 4;
-      plan; oracle = Faults.Replay_oracle.create ();
-      twin; twin_divergence_streak = 0; twin_reports = []; twin_injections = [];
+      plan; twin; bank_ops = 0;
+      twin_divergence_streak = 0; twin_reports = []; twin_injections = [];
       monitor =
         Monitor.create
           ~thresholds:
@@ -531,7 +529,6 @@ let create ?sink ?durable cfg =
               signing_streak_degraded = cfg.Config.watchdog.Config.wd_signing_streak }
           sink;
       durable;
-      genesis_vk = keys0.vk;
       mode = Normal; mode_transitions = []; signing_streak = 0;
       halted_at = None; recovered_at = None; dissolved = false;
       reconcile_inflight = false; reconciliation = None;
@@ -577,15 +574,9 @@ let create ?sink ?durable cfg =
           ~amount1
       with
       | Ok () ->
-        Faults.Replay_oracle.record_deposit t.oracle ~user:u.Party.address
-          ~for_epoch:0 ~amount0 ~amount1;
-        twin_op t (fun tw ->
-            Twin.bank_deposit tw ~user:u.Party.address ~for_epoch:0 ~amount0
-              ~amount1);
-        dur_record t
-          (Durable.Record.Op
-             (Durable.Record.Deposit
-                { user = u.Party.address; for_epoch = 0; amount0; amount1 }))
+        emit t
+          (Durable.Record.Deposit
+             { user = u.Party.address; for_epoch = 0; amount0; amount1 })
       | Error e -> failwith ("System.create: bootstrap deposit failed: " ^ e))
     t.users;
   t.deposits_submitted_until <- 0;
@@ -630,17 +621,10 @@ let submit_epoch_deposits t ~for_epoch ~at =
                     ~amount0:amount ~amount1:amount
                 with
                 | Ok () ->
-                  Faults.Replay_oracle.record_deposit t.oracle
-                    ~user:u.Party.address ~for_epoch ~amount0:amount
-                    ~amount1:amount;
-                  twin_op t (fun tw ->
-                      Twin.bank_deposit tw ~user:u.Party.address ~for_epoch
-                        ~amount0:amount ~amount1:amount);
-                  dur_record t
-                    (Durable.Record.Op
-                       (Durable.Record.Deposit
-                          { user = u.Party.address; for_epoch;
-                            amount0 = amount; amount1 = amount }))
+                  emit t
+                    (Durable.Record.Deposit
+                       { user = u.Party.address; for_epoch;
+                         amount0 = amount; amount1 = amount })
                 | Error e ->
                   (* Deposits in flight when the bank halts revert; any
                      other failure is a simulator bug. *)
@@ -777,11 +761,10 @@ let submit_sync t ~epoch ~at ~corrupt =
             Some
               (fun height ->
                 (* Snapshot for rollback modeling before any state change,
-                   paired with the oracle's op-log position. *)
+                   paired with the bank-op count. *)
                 t.checkpoints <-
-                  (height, Token_bank.checkpoint t.bank,
-                   Faults.Replay_oracle.mark t.oracle,
-                   Option.map Twin.checkpoint t.twin)
+                  (height, Token_bank.checkpoint t.bank, t.bank_ops,
+                   Twin.checkpoint t.twin)
                   :: t.checkpoints;
                 let time = Eth.now t.eth in
                 let time = if time > at then time else at in
@@ -789,9 +772,7 @@ let submit_sync t ~epoch ~at ~corrupt =
                 | Ok receipt ->
                   submission.status <- Applied;
                   t.sync_receipts <- receipt :: t.sync_receipts;
-                  Faults.Replay_oracle.record_sync t.oracle signed;
-                  twin_op t (fun tw -> Twin.bank_sync tw signed);
-                  dur_record t (Durable.Record.Op (Durable.Record.Sync signed));
+                  emit t (Durable.Record.Sync signed);
                   Tmetrics.inc t.tele.c_sync_applied;
                   List.iter
                     (fun (p, _) ->
@@ -932,6 +913,16 @@ let settle_confirmed t =
         epochs)
     confirmed;
   t.pending_confirm <- still;
+  (* Summaries at or below the newest confirmed epoch are final: mass-sync
+     and reconcile only read epochs above the synced frontier, so their
+     signed payloads can go. *)
+  (match List.concat_map (fun (epochs, _, _) -> epochs) confirmed with
+  | [] -> ()
+  | es ->
+    let top = List.fold_left Stdlib.max min_int es in
+    Hashtbl.filter_map_inplace
+      (fun e sp -> if e <= top then None else Some sp)
+      t.signed_payloads);
   (* Checkpoints at or below the confirmed frontier can never be restored
      (forks only abandon unconfirmed blocks): release the newest of them
      so the bank's undo journal stays bounded by the unconfirmed window. *)
@@ -944,14 +935,12 @@ let settle_confirmed t =
     (* Newest-first list: the head of [dead] is the youngest retired
        checkpoint; releasing it drops the journal history below it. *)
     Token_bank.release_checkpoint t.bank ck;
-    (match (t.twin, tck) with
-    | Some tw, Some tc -> Twin.release tw tc
-    | _ -> ());
+    Twin.release t.twin tck;
     t.checkpoints <- live
   | [] -> ()
 
 (* Fork switch abandoning every block from [height] to the tip: restore
-   TokenBank (and the oracle's op log) to the paired pre-sync checkpoint,
+   TokenBank (and the twin's replica) to the paired pre-sync checkpoint,
    fail every sync the fork orphaned, and arm the retry machinery; the
    re-submission happens via retry or the normal mass-sync path. *)
 let rollback_to t ~height =
@@ -963,12 +952,10 @@ let rollback_to t ~height =
     (match List.find_opt (fun (h, _, _, _) -> h = height) t.checkpoints with
     | Some (_, ck, mark, tck) ->
       Token_bank.restore t.bank ck;
-      Faults.Replay_oracle.truncate t.oracle mark;
       (* The twin rewinds its replica and bank shadow in step, recording
          a synthetic rollback op so bisection stays truthful. *)
-      (match (t.twin, tck) with
-      | Some tw, Some tc -> Twin.restore tw tc
-      | _ -> ());
+      Twin.restore t.twin tck;
+      t.bank_ops <- mark;
       (* The WAL cannot un-append: a reorg is logged as a compensation
          record so replay reproduces the truncation deterministically. *)
       dur_record t (Durable.Record.Truncate { keep = mark })
@@ -1098,11 +1085,7 @@ let submit_exit t (u : Party.user) ~at =
             let time = Eth.now t.eth in
             match Token_bank.emergency_exit t.bank ~claimant:u.Party.address with
             | Ok claim ->
-              Faults.Replay_oracle.record_exit t.oracle ~claimant:u.Party.address;
-              twin_op t (fun tw -> Twin.bank_exit tw ~claimant:u.Party.address);
-              dur_record t
-                (Durable.Record.Op
-                   (Durable.Record.Exit { claimant = u.Party.address }));
+              emit t (Durable.Record.Exit { claimant = u.Party.address });
               Tmetrics.inc t.tele.c_exits;
               Tmetrics.add_gauge t.tele.g_exit_value0
                 (U256.to_float (U256.add claim.Token_bank.claim0 claim.Token_bank.refund0));
@@ -1136,10 +1119,7 @@ let enter_halt t ~now ~reason =
   t.next_retry_at <- Float.infinity;
   let frontier = Token_bank.last_synced_epoch t.bank in
   (match Token_bank.halt t.bank ~epoch:frontier with
-  | Ok () ->
-    Faults.Replay_oracle.record_halt t.oracle ~epoch:frontier;
-    twin_op t (fun tw -> Twin.bank_halt tw ~epoch:frontier);
-    dur_record t (Durable.Record.Op (Durable.Record.Halt { epoch = frontier }))
+  | Ok () -> emit t (Durable.Record.Halt { epoch = frontier })
   | Error rejection ->
     Log.warn ~scope ~t:now
       ~fields:
@@ -1177,10 +1157,7 @@ let submit_reconcile t ~epoch ~at =
                 | Ok r ->
                   t.reconciliation <- Some r;
                   t.recovered_at <- Some time;
-                  Faults.Replay_oracle.record_reconcile t.oracle pending;
-                  twin_op t (fun tw -> Twin.bank_reconcile tw pending);
-                  dur_record t
-                    (Durable.Record.Op (Durable.Record.Reconcile pending));
+                  emit t (Durable.Record.Reconcile pending);
                   Tmetrics.inc ~by:r.Token_bank.rec_users_applied
                     t.tele.c_reconcile_applied;
                   Tmetrics.inc ~by:r.Token_bank.rec_users_voided
@@ -1267,42 +1244,34 @@ let watchdog_tick t ~epoch:e ~now ~committee_live =
 (* The state twin: op capture, fault injection, epoch-boundary audit   *)
 (* ------------------------------------------------------------------ *)
 
+(* After-images of the pool scalars and the given written positions and
+   ticks. *)
+let pool_images t wpos wticks =
+  (Twin.Pool_scalars, Some (Durable.State_codec.pool_bytes t.pool))
+  :: (List.map
+        (fun pid -> (Twin.Pool_pos pid, Uniswap.Pool.position_bytes t.pool pid))
+        wpos
+     @ List.map (fun k -> (Twin.Pool_tick k, Uniswap.Pool.tick_bytes t.pool k)) wticks)
+
 (* Per-transaction op capture, fired by the processor tap after every
    attempt — a rejected swap has already mutated pool state before the
    router's slippage check, so rejected attempts are captured too (with
    a "!rejected" label suffix). Drains the pool's per-op write set and
    records the after-images of everything the transaction touched. *)
-let twin_tx_tap t tw deposits ~label ~user ~ok =
+let twin_tx_tap t deposits ~label ~user ~ok =
   let wpos, wticks = Uniswap.Pool.drain_op_writes t.pool in
   let label = if ok then label else label ^ "!rejected" in
-  Twin.record tw ~label
+  Twin.record t.twin ~label
     ((Twin.Dep_row user, Sidechain.Deposits.row_image deposits user)
-     :: (Twin.Pool_scalars, Some (Durable.State_codec.pool_bytes t.pool))
-     :: (List.map
-           (fun pid ->
-             (Twin.Pool_pos pid, Uniswap.Pool.position_bytes t.pool pid))
-           wpos
-        @ List.map
-            (fun k -> (Twin.Pool_tick k, Uniswap.Pool.tick_bytes t.pool k))
-            wticks))
+     :: pool_images t wpos wticks)
 
 (* Summary construction reads fee state through the pool, which marks
    position writes (fee checkpoint updates). Record them as one op so
    the audit window stays closed over every legitimate write. *)
-let twin_record_summary_touch t tw =
-  let wpos, wticks = Uniswap.Pool.drain_op_writes t.pool in
-  match (wpos, wticks) with
+let twin_record_summary_touch t =
+  match Uniswap.Pool.drain_op_writes t.pool with
   | [], [] -> ()
-  | _ ->
-    Twin.record tw ~label:"summary.build"
-      ((Twin.Pool_scalars, Some (Durable.State_codec.pool_bytes t.pool))
-       :: (List.map
-             (fun pid ->
-               (Twin.Pool_pos pid, Uniswap.Pool.position_bytes t.pool pid))
-             wpos
-          @ List.map
-              (fun k -> (Twin.Pool_tick k, Uniswap.Pool.tick_bytes t.pool k))
-              wticks))
+  | wpos, wticks -> Twin.record t.twin ~label:"summary.build" (pool_images t wpos wticks)
 
 (* Silent state corruption: a seeded bit-flip landed directly in a flat
    store behind the system's back — no transaction, no log record. Only
@@ -1310,9 +1279,7 @@ let twin_record_summary_touch t tw =
    audit surface (dirty marks) but on no op's write set, so the audit
    sees a key the twin never captured — or captured differently. *)
 let inject_corruption t ~deposits ~epoch ~round =
-  match t.twin with
-  | None -> ()
-  | Some _ ->
+  if t.cfg.Config.twin_audit then
     (match Faults.Fault_plan.corrupt_state t.plan ~epoch ~round with
     | None -> ()
     | Some (target, index, bit) ->
@@ -1356,9 +1323,7 @@ let inject_corruption t ~deposits ~epoch ~round =
    violation, and a repeat halts the system — a corrupted store must
    never reach the mainchain twice. *)
 let twin_audit_epoch t ~deposits ~epoch ~now =
-  match t.twin with
-  | None -> ()
-  | Some tw ->
+  if t.cfg.Config.twin_audit then begin
     let live =
       { Twin.live_dep =
           (fun u ->
@@ -1384,7 +1349,7 @@ let twin_audit_epoch t ~deposits ~epoch ~now =
             Tokenbank.Pos_store.dirty_ids (Token_bank.positions_store t.bank));
       }
     in
-    let reports = Twin.audit tw ~epoch live in
+    let reports = Twin.audit t.twin ~epoch live in
     Uniswap.Pool.clear_audit_writes t.pool;
     Tokenbank.Pos_store.clear_dirty (Token_bank.positions_store t.bank);
     (match deposits with
@@ -1411,6 +1376,7 @@ let twin_audit_epoch t ~deposits ~epoch ~now =
           enter_halt t ~now ~reason:"twin: repeated state divergence"
         else set_mode t Degraded ~now ~reason:"twin: state divergence detected"
       end)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The main loop                                                       *)
@@ -1555,12 +1521,11 @@ let run ?sink ?durable cfg =
        from the bank snapshot the sync path already audits, so they are
        not window ops — clear the marks before the first transaction
        lands and audit only rows the epoch actually writes. *)
-    (match t.twin with
-    | Some tw ->
+    if cfg.Config.twin_audit then begin
       let deposits = Processor.deposits processor in
       Sidechain.Deposits.clear_dirty deposits;
-      Processor.set_tap processor (twin_tx_tap t tw deposits)
-    | None -> ());
+      Processor.set_tap processor (twin_tx_tap t deposits)
+    end;
     (* Durable snapshot at the epoch boundary (the deposits view is the
        processor's, i.e. post-begin_epoch). Committee-dead epochs skip
        snapshots; the cadence is identical in an uninterrupted run, so
@@ -1735,7 +1700,7 @@ let run ?sink ?durable cfg =
     let payload =
       Processor.build_payload processor ~epoch:e ~next_committee_vk:next_keys.vk
     in
-    twin_op t (fun tw -> twin_record_summary_touch t tw);
+    if cfg.Config.twin_audit then twin_record_summary_touch t;
     let keys = committee_keys t ~epoch:e in
     let signature = sign_payload t ~epoch:e keys (Sync_payload.signing_bytes payload) in
     Hashtbl.replace t.signed_payloads e (payload, signature);
@@ -1905,17 +1870,14 @@ let run ?sink ?durable cfg =
   (* Deterministic result ordering: Hashtbl-derived assoc lists are
      sorted by key so reports and tests never depend on iteration order. *)
   let sorted_assoc l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  (* Differential replay oracle: the live TokenBank must match a fresh
-     replica fed the surviving deposit/sync history in order. *)
+  (* End-of-run verdict: the twin's replica bank, fed the surviving
+     bank-op history in order, must match the live TokenBank. *)
   let replay_consistent =
-    match
-      Faults.Replay_oracle.verify ~live:t.bank ~genesis_committee_vk:t.genesis_vk
-        ~flash_fee_pips:cfg.Config.fee_pips t.oracle
-    with
+    match Twin.compare_bank t.twin ~live:t.bank with
     | Ok () -> true
     | Error reason ->
       Log.error ~scope ~fields:[ ("reason", Json.String reason) ]
-        "differential replay oracle failed";
+        "replica bank disagrees with the live bank";
       false
   in
   let faults_injected = Faults.Fault_plan.injected t.plan in
@@ -1966,11 +1928,8 @@ let run ?sink ?durable cfg =
   List.iter
     (fun (label, n) -> Tmetrics.inc ~by:n (Tmetrics.counter reg ("faults." ^ label)))
     faults_injected;
-  let twin_audits, twin_divergences =
-    match t.twin with
-    | Some tw -> (Twin.audits_run tw, Twin.divergences tw)
-    | None -> (0, 0)
-  in
+  let twin_audits = Twin.audits_run t.twin in
+  let twin_divergences = Twin.divergences t.twin in
   let twin_consistent = twin_divergences = 0 in
   (* twin.audits / twin.divergences are live counters in [tele]. *)
   final_gauge "twin.consistent" (if twin_consistent then 1.0 else 0.0);
@@ -2046,4 +2005,4 @@ let run ?sink ?durable cfg =
     twin_consistent;
     twin_reports = List.rev t.twin_reports;
     twin_injections = List.rev t.twin_injections;
-    twin_view = Option.map Twin.view t.twin }
+    twin_view = (if cfg.Config.twin_audit then Some (Twin.view t.twin) else None) }

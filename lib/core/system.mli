@@ -72,8 +72,10 @@ type result = {
   faults_injected : (string * int) list;
       (** per-label injection counts from the fault plan, sorted *)
   replay_consistent : bool;
-      (** differential replay oracle: final TokenBank state equals a fresh
-          replica's after replaying the surviving deposit/sync history *)
+      (** end-of-run verdict ({!Twin.compare_bank}): the twin's replica
+          bank, fed every surviving bank op (deposit, sync, halt, exit,
+          reconcile) with signatures re-verified, ends byte-identical to
+          the live TokenBank and never rejected an op *)
   rejection_reasons : (string * int) list;
   custody_consistent : bool;
       (** TokenBank ERC20 custody = pool balances + outstanding deposits *)
@@ -128,7 +130,7 @@ type result = {
           twin-audit gate can diff this against [twin_reports] *)
   twin_view : Twin.view option;
       (** the twin's sealed-epoch time-travel view ([None] when
-          [Config.twin_audit] is off) *)
+          [Config.twin_audit] is off: nothing is sealed) *)
 }
 
 val run :
@@ -140,8 +142,9 @@ val run :
     sync, confirm, prune) exportable as Chrome trace JSON. Metrics
     snapshots are deterministic in the configuration seed.
 
-    When [durable] is given, the run is crash-consistent: every
-    oracle-visible state delta goes through the session's write-ahead
+    When [durable] is given, the run is crash-consistent: every bank op
+    (the same stream the twin's replica applies) goes through the
+    session's write-ahead
     log (verify-or-append against what a previous incarnation left on
     disk), epoch boundaries take checksummed snapshots on the session's
     cadence, and the fault plan's durability class may kill the run at a

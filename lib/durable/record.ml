@@ -4,9 +4,9 @@ module Bls = Amm_crypto.Bls
 module Sync_payload = Tokenbank.Sync_payload
 
 (* One write-ahead-log record: a mainchain state transition in the exact
-   order the live TokenBank applied it. The op variants mirror the
-   differential replay oracle's record points one-for-one, so a WAL is a
-   durable, checksummed copy of the op log — plus [Truncate], the
+   order the live TokenBank applied it. [op] is the one bank-op stream the
+   system emits (the twin's replica bank applies the same ops), so a WAL
+   is a durable, checksummed copy of it — plus [Truncate], the
    compensation record for reorg rollbacks (a log file cannot un-append,
    so the rollback is itself logged and re-applied on recovery). *)
 

@@ -1,11 +1,12 @@
 (** Write-ahead-log records.
 
     Each record is one mainchain state transition, in the exact order the
-    live TokenBank applied it — the op variants mirror the differential
-    replay oracle's record points one-for-one. [Truncate] is the
-    compensation record for mainchain reorg rollbacks: an append-only log
-    cannot un-append, so the rollback to op-log mark [keep] is itself a
-    record, replayed like any other on recovery.
+    live TokenBank applied it. {!op} is the system's one bank-op type:
+    the same stream feeds the state twin's replica bank. [Truncate] is
+    the compensation record for mainchain reorg rollbacks: an
+    append-only log cannot un-append, so the rollback to the count of
+    surviving bank ops [keep] is itself a record, replayed like any
+    other on recovery.
 
     The codec is exact: [of_bytes (to_bytes r)] succeeds and re-encodes
     byte-identically, which is what resume-time verification compares. *)

@@ -304,8 +304,7 @@ let apply_payload t (m : Gas.meter) payload =
    checks out. The committee key chain advances payload by payload: epoch
    e's signature verifies under the vk recorded by e−1. Shared between
    [sync] and [reconcile] (which verifies against the frozen balances). *)
-let rec verify_all ?(check_signatures = true) m ~vk ~expected_epoch ~balance0
-    ~balance1 = function
+let rec verify_all m ~vk ~expected_epoch ~balance0 ~balance1 = function
   | [] -> Ok ()
   | (p, signature) :: rest ->
     (* The epoch-ordering check comes first: it is a couple of sloads,
@@ -318,18 +317,15 @@ let rec verify_all ?(check_signatures = true) m ~vk ~expected_epoch ~balance0
         Error (Contiguity_gap { expected = expected_epoch; got = p.Sync_payload.epoch })
     end
     else begin
-      if check_signatures then begin
-        Gas.charge m "auth.hash_to_point"
-          (Gas.keccak_cost (Sync_payload.abi_size p) + Gas.ec_mul);
-        Gas.charge m "auth.pairing" Gas.pairing_check
-      end;
-      if check_signatures
-         && not (Bls.verify vk (Sync_payload.signing_bytes p) signature)
-      then Error (Bad_signature { epoch = p.Sync_payload.epoch })
+      Gas.charge m "auth.hash_to_point"
+        (Gas.keccak_cost (Sync_payload.abi_size p) + Gas.ec_mul);
+      Gas.charge m "auth.pairing" Gas.pairing_check;
+      if not (Bls.verify vk (Sync_payload.signing_bytes p) signature) then
+        Error (Bad_signature { epoch = p.Sync_payload.epoch })
       else if not (conservation_ok ~balance0 ~balance1 p) then
         Error (Conservation_violation { epoch = p.Sync_payload.epoch })
       else
-        verify_all ~check_signatures m ~vk:p.Sync_payload.next_committee_vk
+        verify_all m ~vk:p.Sync_payload.next_committee_vk
           ~expected_epoch:(expected_epoch + 1)
           ~balance0:p.Sync_payload.pool_balance0
           ~balance1:p.Sync_payload.pool_balance1 rest
@@ -345,7 +341,7 @@ let log_rejected t ~payloads rejection =
     "sync rejected: state unchanged";
   Error rejection
 
-let sync ?(check_signatures = true) t ~signed =
+let sync t ~signed =
   match signed with
   | [] -> Error Empty_submission
   | _ when t.halted -> log_rejected t ~payloads:(List.map fst signed) Bank_halted
@@ -367,7 +363,7 @@ let sync ?(check_signatures = true) t ~signed =
     in
     let* () =
       match
-        verify_all ~check_signatures m ~vk:t.vk ~expected_epoch:(t.synced_epoch + 1)
+        verify_all m ~vk:t.vk ~expected_epoch:(t.synced_epoch + 1)
           ~balance0 ~balance1 signed
       with
       | Ok () -> Ok ()

@@ -93,7 +93,6 @@ type sync_receipt = {
 }
 
 val sync :
-  ?check_signatures:bool ->
   t ->
   signed:(Sync_payload.t * Amm_crypto.Bls.signature) list ->
   (sync_receipt, rejection) result
@@ -101,12 +100,7 @@ val sync :
     committee's threshold signature (a list longer than one is a
     mass-sync after an interruption — recorded keys advance payload by
     payload, so epoch e's signature verifies under the vk recorded by
-    epoch e−1's payload). [?check_signatures] (default [true]) controls
-    the pairing check and its payload hashing — the state twin's replica
-    passes [false]: it only ever replays payloads the live contract
-    already accepted, so re-deriving state does not need to re-pay the
-    dominant crypto cost, and the epoch-contiguity and conservation
-    checks still run. Checks epoch contiguity and token conservation
+    epoch e−1's payload). Checks epoch contiguity and token conservation
     (new pool balance = old + payins − payouts), then updates positions,
     dispenses payouts, deducts payins (any excess over the deposit comes
     out of the payout, §4.2), refunds residual deposits, and records each

@@ -83,7 +83,6 @@ type t = {
   replica : Token_bank.t;
   erc0 : Erc20.t;
   erc1 : Erc20.t;
-  funded : (Address.t, unit) Hashtbl.t;
   (* Shadow state. Two persistent maps so a reorg can rewind the bank
      side in O(1) without touching sidechain after-images (a mainchain
      fork never unwinds sidechain state). Only present keys are stored;
@@ -112,7 +111,7 @@ let create ~seed ~genesis_committee_vk ~flash_fee_pips =
   let replica = Token_bank.deploy ~token0:erc0 ~token1:erc1 ~genesis_committee_vk in
   ignore (Token_bank.create_pool replica ~flash_fee_pips);
   let t =
-    { seed; replica; erc0; erc1; funded = Hashtbl.create 64;
+    { seed; replica; erc0; erc1;
       side = Kmap.empty; bank = Kmap.empty;
       ops = [||]; op_len = 0; window_base = 0;
       rejected = []; history = []; audits = 0; diverged = 0 }
@@ -158,15 +157,15 @@ let record t ~label writes =
 (* Bank ops: apply to the replica, capture after-images from it        *)
 (* ------------------------------------------------------------------ *)
 
+(* Funding lives in the replica's ERC20 state, so a restore that rolls
+   back a first deposit also rolls back the funding it needed. *)
 let ensure_funded t user =
-  if not (Hashtbl.mem t.funded user) then begin
-    Hashtbl.replace t.funded user ();
+  let bank = Token_bank.address t.replica in
+  if U256.is_zero (Erc20.allowance t.erc0 ~owner:user ~spender:bank) then begin
     Erc20.mint t.erc0 user faucet;
     Erc20.mint t.erc1 user faucet;
-    Erc20.approve t.erc0 ~owner:user ~spender:(Token_bank.address t.replica)
-      U256.max_value;
-    Erc20.approve t.erc1 ~owner:user ~spender:(Token_bank.address t.replica)
-      U256.max_value
+    Erc20.approve t.erc0 ~owner:user ~spender:bank U256.max_value;
+    Erc20.approve t.erc1 ~owner:user ~spender:bank U256.max_value
   end
 
 let bank_pos_image t pid = Pos_store.row_image (Token_bank.positions_store t.replica) pid
@@ -197,18 +196,15 @@ let payload_pos_ids signed =
 
 let bank_deposit t ~user ~for_epoch ~amount0 ~amount1 =
   ensure_funded t user;
-  let r =
-    match Token_bank.deposit t.replica ~user ~for_epoch ~amount0 ~amount1 with
-    | Ok () -> Ok ()
-    | Error e -> Error e
-  in
-  record_bank t ~label:"bank.deposit" ~pos_ids:[] r
+  record_bank t ~label:"bank.deposit" ~pos_ids:[]
+    (Token_bank.deposit t.replica ~user ~for_epoch ~amount0 ~amount1)
 
 let bank_sync t signed =
   let r =
-    (* The live bank already verified these signatures before the payloads
-       reached us; the replica re-derives state, not crypto acceptance. *)
-    match Token_bank.sync ~check_signatures:false t.replica ~signed with
+    (* Signatures are re-verified under the replica's own key chain: a
+       sync the live bank accepted but the replica's recorded vk rejects
+       is a divergence. *)
+    match Token_bank.sync t.replica ~signed with
     | Ok _ -> Ok ()
     | Error rej -> Error (Token_bank.rejection_to_string rej)
   in
@@ -247,6 +243,15 @@ let bank_reconcile t signed =
     | Error rej -> Error (Token_bank.rejection_to_string rej)
   in
   record_bank t ~label:"bank.reconcile" ~pos_ids:(payload_pos_ids signed) r
+
+let bank_op t (op : Durable.Record.op) =
+  match op with
+  | Deposit { user; for_epoch; amount0; amount1 } ->
+    bank_deposit t ~user ~for_epoch ~amount0 ~amount1
+  | Sync signed -> bank_sync t signed
+  | Halt { epoch } -> bank_halt t ~epoch
+  | Exit { claimant } -> bank_exit t ~claimant
+  | Reconcile signed -> bank_reconcile t signed
 
 (* ------------------------------------------------------------------ *)
 (* Reorg symmetry                                                      *)
@@ -454,6 +459,41 @@ let audit t ~epoch live =
 
 let audits_run t = t.audits
 let divergences t = t.diverged
+
+(* ------------------------------------------------------------------ *)
+(* End-of-run verdict                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let compare_bank t ~live =
+  let ids bank =
+    List.sort Position_id.compare
+      (List.map
+         (fun (e : Sync_payload.position_entry) -> e.Sync_payload.pos_id)
+         (Token_bank.positions bank))
+  in
+  let row bank pid = Pos_store.row_image (Token_bank.positions_store bank) pid in
+  match List.rev t.rejected with
+  | (i, label, err) :: _ ->
+    Error (Printf.sprintf "replica rejected op[%d]:%s: %s" i label err)
+  | [] ->
+    if
+      not
+        (Bytes.equal
+           (State_codec.bank_meta_bytes live)
+           (State_codec.bank_meta_bytes t.replica))
+    then Error "bank.meta differs"
+    else
+      let live_ids = ids live in
+      if not (List.equal Position_id.equal live_ids (ids t.replica)) then
+        Error "position ids differ"
+      else (
+        match
+          List.find_opt
+            (fun pid -> not (bytes_opt_equal (row live pid) (row t.replica pid)))
+            live_ids
+        with
+        | Some pid -> Error ("position row differs: " ^ key_to_string (Bank_pos pid))
+        | None -> Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Time travel                                                         *)

@@ -8,18 +8,19 @@
     {ul
     {- The {e bank twin} is a full replica [Token_bank] advanced by the
        semantic ops (deposit / sync / halt / exit / reconcile) — genuine
-       independent re-derivation, continuously, of what the replay
-       oracle used to check only at end of run. Bank ops are per-epoch
-       scale, so re-execution is cheap.}
+       independent re-derivation of the contract state from deposits and
+       certified summaries alone, signatures included. It is always on:
+       besides feeding the per-epoch audit, it gives the end-of-run
+       verdict ({!compare_bank}). Bank ops are per-epoch scale, so
+       re-execution is cheap.}
     {- The {e pool and deposits twins} are after-image shadows: every
        transaction's written keys are captured into persistent maps at
        mutation time, before any later out-of-band damage can land. The
        epoch-boundary audit compares those captures against the live
        rows, catching silent corruption and lost/torn writes in the
        epoch they occur; AMM logic itself stays covered by the
-       end-of-run replay oracle and the self-audit. A replica pool
-       re-executing every swap would blow the audit's overhead budget —
-       this shadow keeps it O(written keys).}}
+       self-audit. A replica pool re-executing every swap would blow the
+       audit's overhead budget — this shadow keeps it O(written keys).}}
 
     The persistent maps make epoch snapshots O(1), which is what funds
     the time-travel queries ({!custody_at}, {!position_fees}) and the
@@ -73,7 +74,8 @@ val op_count : t -> int
     Each applies the semantic op to the replica bank, captures the
     after-images of the keys it wrote {e from the replica}, and records
     a window op. A rejection that the live bank did not report is a
-    divergence in its own right and surfaces at the next audit. *)
+    divergence in its own right: it surfaces at the next audit and fails
+    {!compare_bank}. *)
 
 val bank_deposit :
   t -> user:Address.t -> for_epoch:int -> amount0:U256.t -> amount1:U256.t -> unit
@@ -82,6 +84,10 @@ val bank_sync : t -> (Sync_payload.t * Amm_crypto.Bls.signature) list -> unit
 val bank_halt : t -> epoch:int -> unit
 val bank_exit : t -> claimant:Address.t -> unit
 val bank_reconcile : t -> (Sync_payload.t * Amm_crypto.Bls.signature) list -> unit
+
+val bank_op : t -> Durable.Record.op -> unit
+(** Dispatches one op of the system's bank-op stream to the matching
+    function above. *)
 
 (** {1 Reorg symmetry} *)
 
@@ -98,6 +104,16 @@ val restore : t -> checkpoint -> unit
     bisection stays truthful across reorgs. *)
 
 val release : t -> checkpoint -> unit
+
+(** {1 The end-of-run verdict} *)
+
+val compare_bank : t -> live:Token_bank.t -> (unit, string) result
+(** [Ok ()] iff the replica and [live] have byte-identical bank.meta
+    sections (synced epoch, halt state, committee vk, custody, pool
+    balances and flash fee, exit claims), the same position ids with
+    byte-identical rows (compared by id, so slot order cannot matter),
+    and the replica has recorded no rejection that survived a
+    {!restore}. *)
 
 (** {1 The epoch-boundary audit} *)
 

@@ -373,6 +373,120 @@ let test_session_falls_back_past_corrupt_snapshot () =
     (stat d "durability.snapshots_rejected");
   Alcotest.(check bool) "healed" true (stat d "durability.snapshots_healed" >= 1)
 
+(* ------------------------------------------------------------------ *)
+(* Golden pins                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The full WAL record stream and the newest snapshot's sections of two
+   small durable runs, hashed. A snapshot cadence that never prunes
+   keeps every record on disk, so each Truncate { keep } a reorg logs is
+   covered. Any change to what the system records, in what order, or to
+   the op-log positions a rollback truncates to shows up here. *)
+let wal_records ~dir =
+  List.concat_map
+    (fun (_, path) ->
+      match Wal.read_segment path with
+      | Ok rr ->
+        Alcotest.(check bool) "segment clean" true (rr.Wal.rr_torn = None);
+        [ (rr.Wal.rr_start_index, rr.Wal.rr_records) ]
+      | Error e -> Alcotest.fail e)
+    (Wal.list ~dir)
+  |> List.fold_left
+       (fun acc (start, records) ->
+         Alcotest.(check int) "segments are contiguous" (List.length acc) start;
+         acc @ records)
+       []
+
+let stream_hex records =
+  let buf = Buffer.create 4096 in
+  List.iter (fun r -> Wire.w_var buf (Record.to_bytes r)) records;
+  Amm_crypto.Sha256.hex (Buffer.contents buf)
+
+let newest_snapshot_hex ~dir =
+  match List.rev (Snapshot.list ~dir) with
+  | (_, path) :: _ -> (
+    match Snapshot.load path with
+    | Ok s ->
+      List.map
+        (fun (name, b) -> (name, Amm_crypto.Sha256.hex (Bytes.to_string b)))
+        s.Snapshot.sections
+    | Error e -> Alcotest.fail e)
+  | [] -> Alcotest.fail "no snapshot written"
+
+let golden_run cfg =
+  let dir = tmp_dir () in
+  let s = Session.open_ ~dir ~snapshot_every:3 () in
+  let r = Ammboost.System.run ~durable:s cfg in
+  Alcotest.(check bool) "never pruned" true (List.length (Snapshot.list ~dir) <= 2);
+  Alcotest.(check bool) "replay consistent" true r.Ammboost.System.replay_consistent;
+  (r, wal_records ~dir, newest_snapshot_hex ~dir)
+
+let check_golden name ~records ~wal ~sections (_, stream, snap) =
+  Alcotest.(check int) (name ^ " record count") records (List.length stream);
+  Alcotest.(check string) (name ^ " WAL stream") wal (stream_hex stream);
+  Alcotest.(check (list (pair string string))) (name ^ " snapshot sections")
+    sections snap
+
+let test_golden_rollback () =
+  let cfg =
+    { session_cfg with
+      Ammboost.Config.interruptions = [ Ammboost.Config.Mainchain_rollback 1 ];
+      seed = "durable-golden-rollback" }
+  in
+  let ((r, stream, _) as run) = golden_run cfg in
+  Alcotest.(check int) "one rollback" 1 r.Ammboost.System.rollbacks;
+  Alcotest.(check bool) "a Truncate was logged" true
+    (List.exists (function Record.Truncate _ -> true | Record.Op _ -> false) stream);
+  check_golden "rollback" run ~records:54
+    ~wal:"2965efe3031b97d4de52b2d709572aaa738ab1be70b8ede9b5496badc3540d85"
+    ~sections:
+      [ ("bank.meta", "55e9c778a68e245e303c0a2b9e1be3c527b219558d3f5211b55e61c14a8f39b5");
+        ("bank.positions",
+         "76bc89dee1f2fe9b85f9db9f43372aa266c5b94b2a233195fe1770c9637b26ef");
+        ("sidechain.deposits",
+         "f663961062f5579301177ed5e16a134c31c3dbd30b1d625c0e0c5b94a62d9974");
+        ("sidechain.pool",
+         "71f6e169f70e062928ce369793c3b07806b326d06eac6bcf83b827c0298c3946");
+        ("window.pending",
+         "787fb4e41c706b2092a0cdbaa793656cd35e686e90d19abd9f3c944ef259ec1d") ]
+
+let test_golden_halt_cycle () =
+  let cfg =
+    { session_cfg with
+      Ammboost.Config.epochs = 8;
+      users = 12;
+      miners = 40;
+      committee_size = 13;
+      max_faulty = 4;
+      faults =
+        { Faults.Fault_plan.none with
+          Faults.Fault_plan.scenario =
+            { Faults.Fault_plan.quorum_starvation = Some (2, 5); committee_loss = None } };
+      watchdog =
+        { Ammboost.Config.default_watchdog with
+          Ammboost.Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
+      seed = "twin-halt-cycle" }
+  in
+  let ((r, stream, _) as run) = golden_run cfg in
+  Alcotest.(check bool) "exits served" true (r.Ammboost.System.exits_served > 0);
+  Alcotest.(check bool) "reconciled" true (r.Ammboost.System.reconciliation <> None);
+  Alcotest.(check bool) "halt, exit and reconcile logged" true
+    (List.exists (function Record.Op (Record.Halt _) -> true | _ -> false) stream
+    && List.exists (function Record.Op (Record.Exit _) -> true | _ -> false) stream
+    && List.exists (function Record.Op (Record.Reconcile _) -> true | _ -> false) stream);
+  check_golden "halt cycle" run ~records:99
+    ~wal:"323188ed7fd2e1411ff64301abc07bbd6969df2d2977616fb5e220d0bcfe58ba"
+    ~sections:
+      [ ("bank.meta", "0f3f258db94b89e701e1f47e935c893a2a80d731287a8f60719d550853dd4adc");
+        ("bank.positions",
+         "aab76a1f93594e686cd9e1c5093b14ca1e66df7547425f16dd09584cade5f960");
+        ("sidechain.deposits",
+         "cb44225c1336ac8b2efec99c14c749d9a6a872867838659a558d5c57adc9dd02");
+        ("sidechain.pool",
+         "88082f60889d865b4939db5d06af9976b9c282c176643f6296a817d57eb71922");
+        ("window.pending",
+         "b42e72dc9fd5820df4e156a6df4a37701bfeb8f5f86ec5aef4360bd7e3b1c837") ]
+
 let () =
   Alcotest.run "durable"
     [ ( "crc32",
@@ -408,4 +522,8 @@ let () =
           Alcotest.test_case "crash resume" `Slow
             test_session_crash_resume_completes;
           Alcotest.test_case "snapshot fallback" `Slow
-            test_session_falls_back_past_corrupt_snapshot ] ) ]
+            test_session_falls_back_past_corrupt_snapshot ] );
+      ( "golden",
+        [ Alcotest.test_case "rollback WAL and snapshot" `Slow test_golden_rollback;
+          Alcotest.test_case "halt cycle WAL and snapshot" `Slow
+            test_golden_halt_cycle ] ) ]

@@ -1,22 +1,11 @@
 (* Fault-plan engine: deterministic seeded schedules, idempotent
-   injection accounting, per-layer caps, network chaos closures; the
-   differential replay oracle (agreement, divergence detection and
-   rollback truncation); and the ISSUE acceptance scenario — a seeded
-   all-layer chaos run that recovers every fault, passes the oracle and
-   reproduces the identical schedule from the same seed. *)
+   injection accounting, per-layer caps, network chaos closures; and the
+   acceptance scenario — a seeded all-layer chaos run that recovers
+   every fault, ends with the twin's replica bank agreeing with the live
+   bank and reproduces the identical schedule from the same seed. *)
 
-module U256 = Amm_math.U256
-module Address = Chain.Address
-module Erc20 = Mainchain.Erc20
-module Bls = Amm_crypto.Bls
 module Network = Consensus.Network
 module Fault_plan = Faults.Fault_plan
-module Replay_oracle = Faults.Replay_oracle
-open Tokenbank
-
-let u = U256.of_string
-let one_e18 = u "1000000000000000000"
-let one_e21 = u "1000000000000000000000"
 
 (* ------------------------------------------------------------------ *)
 (* Fault plan                                                          *)
@@ -144,118 +133,6 @@ let test_net_chaos_deterministic () =
     (trace "net-twin") (trace "net-twin");
   Alcotest.(check bool) "some messages disturbed" true
     (String.exists (fun ch -> ch <> '.') (trace "net-twin"))
-
-(* ------------------------------------------------------------------ *)
-(* Replay oracle                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let alice = Address.of_label "alice"
-let bob = Address.of_label "bob"
-
-type env = {
-  bank : Token_bank.t;
-  keys : (Bls.secret_key * Bls.public_key) array;
-  pool_id : int;
-}
-
-let flash_fee_pips = 3000
-
-let make_env () =
-  let rng = Amm_crypto.Rng.create "replay-oracle-tests" in
-  let erc0 = Erc20.deploy (Chain.Token.make ~id:0 ~symbol:"TKA") in
-  let erc1 = Erc20.deploy (Chain.Token.make ~id:1 ~symbol:"TKB") in
-  let keys = Array.init 8 (fun _ -> Bls.keygen rng) in
-  let bank = Token_bank.deploy ~token0:erc0 ~token1:erc1 ~genesis_committee_vk:(snd keys.(0)) in
-  let pool_id = Token_bank.create_pool bank ~flash_fee_pips in
-  List.iter
-    (fun who ->
-      Erc20.mint erc0 who one_e21;
-      Erc20.mint erc1 who one_e21;
-      Erc20.approve erc0 ~owner:who ~spender:(Token_bank.address bank) U256.max_value;
-      Erc20.approve erc1 ~owner:who ~spender:(Token_bank.address bank) U256.max_value)
-    [ alice; bob ];
-  { bank; keys; pool_id }
-
-let deposit env oracle ~user ~for_epoch ~amount0 ~amount1 =
-  (match Token_bank.deposit env.bank ~user ~for_epoch ~amount0 ~amount1 with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Replay_oracle.record_deposit oracle ~user ~for_epoch ~amount0 ~amount1
-
-let signed_payload ?(users = []) env ~epoch ~balance0 ~balance1 =
-  let p =
-    { Sync_payload.epoch; pool = env.pool_id; pool_balance0 = balance0;
-      pool_balance1 = balance1; users; positions = [];
-      next_committee_vk = snd env.keys.(epoch + 1) }
-  in
-  (p, Bls.sign (fst env.keys.(epoch)) (Sync_payload.signing_bytes p))
-
-let apply_sync env oracle signed =
-  (match Token_bank.sync env.bank ~signed with
-  | Ok _ -> ()
-  | Error e ->
-    Alcotest.fail ("sync rejected: " ^ Token_bank.rejection_to_string e));
-  Replay_oracle.record_sync oracle signed
-
-let verify env oracle =
-  Replay_oracle.verify ~live:env.bank
-    ~genesis_committee_vk:(snd env.keys.(0)) ~flash_fee_pips oracle
-
-let test_oracle_agrees_on_faithful_log () =
-  let env = make_env () in
-  let oracle = Replay_oracle.create () in
-  deposit env oracle ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
-  deposit env oracle ~user:bob ~for_epoch:0 ~amount0:one_e18 ~amount1:U256.zero;
-  let users =
-    [ { Sync_payload.user = alice; payin0 = one_e18; payin1 = one_e18;
-        payout0 = U256.zero; payout1 = U256.zero } ]
-  in
-  apply_sync env oracle [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
-  Alcotest.(check int) "three ops recorded" 3 (Replay_oracle.size oracle);
-  match verify env oracle with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "oracle should agree: %s" e
-
-let test_oracle_detects_divergence () =
-  let env = make_env () in
-  let oracle = Replay_oracle.create () in
-  deposit env oracle ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
-  (* A phantom op the live chain never executed. *)
-  Replay_oracle.record_deposit oracle ~user:bob ~for_epoch:0 ~amount0:one_e18
-    ~amount1:U256.zero;
-  match verify env oracle with
-  | Ok () -> Alcotest.fail "oracle must flag the phantom deposit"
-  | Error _ -> ()
-
-let test_oracle_truncate_tracks_rollback () =
-  let env = make_env () in
-  let oracle = Replay_oracle.create () in
-  deposit env oracle ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
-  let mark = Replay_oracle.mark oracle in
-  let cp = Token_bank.checkpoint env.bank in
-  (* A fork's worth of history that later falls off the chain. *)
-  deposit env oracle ~user:bob ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
-  let users =
-    [ { Sync_payload.user = alice; payin0 = one_e18; payin1 = one_e18;
-        payout0 = U256.zero; payout1 = U256.zero } ]
-  in
-  apply_sync env oracle [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
-  Alcotest.(check int) "fork ops recorded" 3 (Replay_oracle.size oracle);
-  Token_bank.restore env.bank cp;
-  Replay_oracle.truncate oracle mark;
-  Alcotest.(check int) "log truncated to the mark" mark (Replay_oracle.size oracle);
-  (match verify env oracle with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "oracle should agree after rollback: %s" e);
-  (* The surviving history can still be extended and re-checked. *)
-  let users =
-    [ { Sync_payload.user = alice; payin0 = one_e18; payin1 = one_e18;
-        payout0 = U256.zero; payout1 = U256.zero } ]
-  in
-  apply_sync env oracle [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
-  match verify env oracle with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "oracle should agree after re-sync: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: seeded all-layer chaos run                              *)
@@ -428,11 +305,6 @@ let () =
             test_committee_loss_permanent;
           Alcotest.test_case "seed independent" `Quick
             test_scenario_is_seed_independent ] );
-      ( "replay_oracle",
-        [ Alcotest.test_case "faithful log agrees" `Quick test_oracle_agrees_on_faithful_log;
-          Alcotest.test_case "divergence detected" `Quick test_oracle_detects_divergence;
-          Alcotest.test_case "truncate tracks rollback" `Quick
-            test_oracle_truncate_tracks_rollback ] );
       ( "chaos_acceptance",
         [ Alcotest.test_case "corrupted shares caught" `Quick
             test_corrupted_shares_caught_at_crypto_layer;

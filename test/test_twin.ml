@@ -1,11 +1,12 @@
 (* The state twin: unit-level audit semantics (clean pass, exact
    bisection to the culprit op index, out-of-band attribution, replica
-   rejections, reorg symmetry, time travel, what-if isolation) — then
-   system-level equivalence: twin vs live over random fault
+   rejections, reorg symmetry, time travel, what-if isolation); the
+   end-of-run verdict (Twin.compare_bank), checked against a from-scratch
+   replay of the surviving ops over random op streams with rollbacks —
+   then system-level equivalence: twin vs live over random fault
    interleavings (QCheck over chaos intensity and seed, covering halts,
    exits, reconciles and reorgs) with zero false positives, and scripted
-   state corruption always detected in the epoch it lands. The
-   end-of-run replay oracle rides along as the oracle of the oracle. *)
+   state corruption always detected in the epoch it lands. *)
 
 module U256 = Amm_math.U256
 module Address = Chain.Address
@@ -13,6 +14,9 @@ module Erc20 = Mainchain.Erc20
 module Bls = Amm_crypto.Bls
 module Token_bank = Tokenbank.Token_bank
 module Sync_payload = Tokenbank.Sync_payload
+module Pos_store = Tokenbank.Pos_store
+module Position_id = Chain.Ids.Position_id
+module Record = Durable.Record
 module State_codec = Durable.State_codec
 open Ammboost
 
@@ -40,22 +44,37 @@ type tenv = {
   keys : (Bls.secret_key * Bls.public_key) array;
 }
 
-let make_env () =
-  let rng = Amm_crypto.Rng.create "twin-tests" in
-  let keys = Array.init 8 (fun _ -> Bls.keygen rng) in
-  let vk = snd keys.(0) in
-  let tw = Twin.create ~seed:"twin-tests" ~genesis_committee_vk:vk ~flash_fee_pips:3000 in
-  let merc0 = Erc20.deploy (Chain.Token.make ~id:0 ~symbol:"TKA") in
-  let merc1 = Erc20.deploy (Chain.Token.make ~id:1 ~symbol:"TKB") in
-  let mirror = Token_bank.deploy ~token0:merc0 ~token1:merc1 ~genesis_committee_vk:vk in
-  ignore (Token_bank.create_pool mirror ~flash_fee_pips:3000);
+(* Committee keys, one per epoch (shared: keygen is not free). *)
+let committee_keys =
+  lazy
+    (let rng = Amm_crypto.Rng.create "twin-tests" in
+     Array.init 32 (fun _ -> Bls.keygen rng))
+
+(* A funded bank standing in for the live contract (or for a
+   from-scratch replay of it). *)
+let make_bank ~vk =
+  let erc0 = Erc20.deploy (Chain.Token.make ~id:0 ~symbol:"TKA") in
+  let erc1 = Erc20.deploy (Chain.Token.make ~id:1 ~symbol:"TKB") in
+  let bank = Token_bank.deploy ~token0:erc0 ~token1:erc1 ~genesis_committee_vk:vk in
+  ignore (Token_bank.create_pool bank ~flash_fee_pips:3000);
   List.iter
     (fun who ->
-      Erc20.mint merc0 who one_e21;
-      Erc20.mint merc1 who one_e21;
-      Erc20.approve merc0 ~owner:who ~spender:(Token_bank.address mirror) U256.max_value;
-      Erc20.approve merc1 ~owner:who ~spender:(Token_bank.address mirror) U256.max_value)
+      Erc20.mint erc0 who one_e21;
+      Erc20.mint erc1 who one_e21;
+      Erc20.approve erc0 ~owner:who ~spender:(Token_bank.address bank) U256.max_value;
+      Erc20.approve erc1 ~owner:who ~spender:(Token_bank.address bank) U256.max_value)
     [ alice; bob; carol ];
+  (bank, erc0, erc1)
+
+(* [live_genesis] deploys the mirror under another committee's key — a
+   live bank whose key chain the replica does not share. *)
+let make_env ?(live_genesis = 0) () =
+  let keys = Lazy.force committee_keys in
+  let tw =
+    Twin.create ~seed:"twin-tests" ~genesis_committee_vk:(snd keys.(0))
+      ~flash_fee_pips:3000
+  in
+  let mirror, merc0, merc1 = make_bank ~vk:(snd keys.(live_genesis)) in
   { tw; mirror; merc0; merc1; keys }
 
 let scalars = Bytes.of_string "pool-scalar-section"
@@ -226,6 +245,218 @@ let test_checkpoint_restore_reorg_symmetry () =
     Alcotest.fail
       (Printf.sprintf "restore broke twin/live agreement: %s"
          (String.concat "; " (List.map Twin.report_to_string rs)))
+
+(* ------------------------------------------------------------------ *)
+(* End-of-run verdict                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let signed_payload ?(users = []) ?(positions = []) ?(signer = fun e -> e) env ~epoch
+    ~balance0 ~balance1 =
+  let p =
+    { Sync_payload.epoch; pool = 0; pool_balance0 = balance0;
+      pool_balance1 = balance1; users; positions;
+      next_committee_vk = snd env.keys.(epoch + 1) }
+  in
+  (p, Bls.sign (fst env.keys.(signer epoch)) (Sync_payload.signing_bytes p))
+
+let alice_pays_in =
+  [ { Sync_payload.user = alice; payin0 = one_e18; payin1 = one_e18;
+      payout0 = U256.zero; payout1 = U256.zero } ]
+
+let sync_both env signed =
+  (match Token_bank.sync env.mirror ~signed with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("live sync rejected: " ^ Token_bank.rejection_to_string e));
+  Twin.bank_sync env.tw signed
+
+let check_verdict msg expect_ok env =
+  match (Twin.compare_bank env.tw ~live:env.mirror, expect_ok) with
+  | Ok (), true | Error _, false -> ()
+  | Ok (), false -> Alcotest.fail (msg ^ ": divergence not flagged")
+  | Error e, true -> Alcotest.fail (msg ^ ": " ^ e)
+
+let test_verdict_faithful_stream () =
+  let env = make_env () in
+  dep_both env alice one_e18;
+  dep_both env bob one_e18;
+  sync_both env
+    [ signed_payload ~users:alice_pays_in env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
+  check_verdict "faithful stream" true env
+
+let test_verdict_phantom_deposit () =
+  let env = make_env () in
+  dep_both env alice one_e18;
+  (* A phantom op the live bank never executed. *)
+  Twin.bank_deposit env.tw ~user:bob ~for_epoch:0 ~amount0:one_e18 ~amount1:U256.zero;
+  check_verdict "phantom deposit" false env
+
+let test_verdict_restore_then_resync () =
+  let env = make_env () in
+  dep_both env alice one_e18;
+  let ck = Twin.checkpoint env.tw in
+  let mck = Token_bank.checkpoint env.mirror in
+  (* A fork's worth of history that later falls off the chain. *)
+  dep_both env bob one_e18;
+  let sync0 =
+    signed_payload ~users:alice_pays_in env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18
+  in
+  sync_both env [ sync0 ];
+  Twin.restore env.tw ck;
+  Token_bank.restore env.mirror mck;
+  check_verdict "after rollback" true env;
+  (* The surviving history can still be extended and re-checked. *)
+  sync_both env [ sync0 ];
+  check_verdict "after re-sync" true env
+
+let test_verdict_bad_signature_reported () =
+  (* The live bank was deployed under committee 7's key and accepts a
+     summary committee 7 signed; the replica's genesis key is committee
+     0's, so the same signature fails there and the verdict must say so
+     even though both sides end on the same next-committee key. *)
+  let env = make_env ~live_genesis:7 () in
+  dep_both env alice one_e18;
+  sync_both env
+    [ signed_payload ~signer:(fun _ -> 7) ~users:alice_pays_in env ~epoch:0
+        ~balance0:one_e18 ~balance1:one_e18 ];
+  match Twin.compare_bank env.tw ~live:env.mirror with
+  | Ok () -> Alcotest.fail "a signature the replica rejects passed the verdict"
+  | Error e ->
+    Alcotest.(check string) "names the rejected sync"
+      "replica rejected op[1]:bank.sync: TokenBank.sync: bad committee signature for epoch 0"
+      e
+
+(* From-scratch replay as a test reference: random deposit / sync / halt
+   / exit streams with checkpoint / restore / release interleaved go to
+   the live bank and (when it accepts) the twin. At the end, the live
+   bank, the twin's replica and a fresh bank fed only the surviving ops
+   — rebuilt by truncation plus replay, never by Token_bank.restore —
+   must agree on bank.meta and every position row. *)
+
+let parties = [| alice; bob; carol |]
+let milli k = U256.mul (U256.of_int k) (u "1000000000000000")
+let qc_pos_id k = Position_id.of_hash (Amm_crypto.Sha256.digest_string (Printf.sprintf "qc-pos-%d" k))
+
+let apply_op bank (op : Record.op) =
+  let rej r = Result.map_error Token_bank.rejection_to_string r in
+  match op with
+  | Deposit { user; for_epoch; amount0; amount1 } ->
+    Token_bank.deposit bank ~user ~for_epoch ~amount0 ~amount1
+  | Sync signed -> rej (Result.map ignore (Token_bank.sync bank ~signed))
+  | Halt { epoch } -> rej (Token_bank.halt bank ~epoch)
+  | Exit { claimant } -> rej (Result.map ignore (Token_bank.emergency_exit bank ~claimant))
+  | Reconcile signed -> rej (Result.map ignore (Token_bank.reconcile bank ~signed))
+
+(* The next epoch's summary: every depositor pays in in full, one party
+   is paid out of the pool, one position is written or deleted. *)
+let random_sync env bank p =
+  let epoch = Token_bank.last_synced_epoch bank + 1 in
+  let b0, b1 =
+    match Token_bank.pool bank 0 with
+    | Some i -> (i.Token_bank.balance0, i.Token_bank.balance1)
+    | None -> (U256.zero, U256.zero)
+  in
+  let deps = Token_bank.deposits_for_epoch bank ~epoch in
+  let payout = U256.div b0 (U256.of_int (2 + (p mod 5))) in
+  let users =
+    List.mapi
+      (fun i (user, (d0, d1)) ->
+        { Sync_payload.user; payin0 = d0; payin1 = d1;
+          payout0 = (if i = 0 then payout else U256.zero); payout1 = U256.zero })
+      deps
+  in
+  let sum f = List.fold_left (fun a e -> U256.add a (f e)) U256.zero users in
+  let in0 = sum (fun e -> e.Sync_payload.payin0) and in1 = sum (fun e -> e.Sync_payload.payin1) in
+  let out0 = sum (fun e -> e.Sync_payload.payout0) in
+  let pid = qc_pos_id (p mod 4) in
+  let positions =
+    [ { Sync_payload.pos_id = pid; owner = parties.(p mod 3); lower_tick = -60 * (1 + (p mod 3));
+        upper_tick = 60 * (1 + (p mod 5)); liquidity = milli (p + 1);
+        amount0 = milli (p mod 11); amount1 = milli (p mod 13); fees0 = milli (p mod 3);
+        fees1 = U256.zero;
+        deleted = p mod 5 = 0 && Token_bank.find_position bank pid <> None } ]
+  in
+  signed_payload ~users ~positions env ~epoch
+    ~balance0:(U256.sub (U256.add b0 in0) out0)
+    ~balance1:(U256.add b1 in1)
+
+let bank_image bank =
+  let store = Token_bank.positions_store bank in
+  let ids =
+    List.sort Position_id.compare
+      (List.map (fun (e : Sync_payload.position_entry) -> e.Sync_payload.pos_id)
+         (Token_bank.positions bank))
+  in
+  ( Bytes.to_string (State_codec.bank_meta_bytes bank),
+    List.map
+      (fun pid ->
+        (Position_id.to_hex pid, Option.map Bytes.to_string (Pos_store.row_image store pid)))
+      ids )
+
+let qcheck_replay_reference =
+  QCheck.Test.make ~count:50 ~name:"live, twin and fresh replay agree over rollbacks"
+    QCheck.(list_of_size Gen.(5 -- 30) (pair (int_bound 7) (int_bound 1000)))
+    (fun cmds ->
+      let env = make_env () in
+      let live = env.mirror in
+      let surviving = ref [] (* newest first *) in
+      let cks = ref [] (* newest first: bank, twin, surviving length *) in
+      let run op =
+        match apply_op live op with
+        | Ok () ->
+          Twin.bank_op env.tw op;
+          surviving := op :: !surviving
+        | Error _ -> ()
+      in
+      let synced () = Token_bank.last_synced_epoch live in
+      List.iter
+        (fun (kind, p) ->
+          match kind with
+          | 0 | 1 ->
+            run
+              (Deposit
+                 { user = parties.(p mod 3); for_epoch = synced () + 1 + (p mod 2);
+                   amount0 = milli (p + 1); amount1 = milli ((p mod 7) + 1) })
+          | 2 -> if synced () + 2 < 32 then run (Sync [ random_sync env live p ])
+          | 3 -> if p mod 3 = 0 then run (Halt { epoch = synced () })
+          | 4 -> run (Exit { claimant = parties.(p mod 3) })
+          | 5 ->
+            cks :=
+              (Token_bank.checkpoint live, Twin.checkpoint env.tw, List.length !surviving)
+              :: !cks
+          | 6 -> (
+            match List.filteri (fun i _ -> i >= p mod (max 1 (List.length !cks))) !cks with
+            | (bck, tck, n) :: older ->
+              Token_bank.restore live bck;
+              Twin.restore env.tw tck;
+              surviving := List.filteri (fun i _ -> i >= List.length !surviving - n) !surviving;
+              cks := older
+            | [] -> ())
+          | _ -> (
+            (* Release a checkpoint: nothing older will be restored. *)
+            let keep = 1 + (p mod max 1 (List.length !cks)) in
+            match List.filteri (fun i _ -> i < keep) !cks with
+            | [] -> ()
+            | kept ->
+              let bck, tck, _ = List.nth kept (List.length kept - 1) in
+              Token_bank.release_checkpoint live bck;
+              Twin.release env.tw tck;
+              cks := kept))
+        cmds;
+      let fresh, _, _ = make_bank ~vk:(snd env.keys.(0)) in
+      List.iter
+        (fun op ->
+          match apply_op fresh op with
+          | Ok () -> ()
+          | Error e -> QCheck.Test.fail_reportf "fresh replay rejected %s: %s"
+                         (Record.describe (Record.Op op)) e)
+        (List.rev !surviving);
+      let want = bank_image live in
+      if bank_image fresh <> want then QCheck.Test.fail_report "fresh replay differs from live";
+      if Twin.what_if env.tw bank_image <> want then
+        QCheck.Test.fail_report "twin replica differs from live";
+      match Twin.compare_bank env.tw ~live with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_reportf "compare_bank: %s" e)
 
 (* ------------------------------------------------------------------ *)
 (* Time travel and what-if                                             *)
@@ -419,6 +650,14 @@ let () =
             test_replica_rejection_surfaces;
           Alcotest.test_case "checkpoint/restore reorg symmetry" `Quick
             test_checkpoint_restore_reorg_symmetry ] );
+      ( "verdict",
+        [ Alcotest.test_case "faithful stream agrees" `Quick test_verdict_faithful_stream;
+          Alcotest.test_case "phantom deposit flagged" `Quick test_verdict_phantom_deposit;
+          Alcotest.test_case "restore then re-sync agrees" `Quick
+            test_verdict_restore_then_resync;
+          Alcotest.test_case "bad signature under the replica's key reported" `Quick
+            test_verdict_bad_signature_reported;
+          QCheck_alcotest.to_alcotest ~long:false qcheck_replay_reference ] );
       ( "time-travel",
         [ Alcotest.test_case "custody_at / read_at / epochs_sealed" `Quick
             test_time_travel;
