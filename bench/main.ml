@@ -35,8 +35,8 @@ module Json = Telemetry.Json
    a Hashtbl whose iteration order is unspecified, so the report walks
    this static list instead. *)
 let micro_names =
-  [ "u256 mul_div"; "u256 sqrt"; "tick->sqrt ratio"; "sqrt ratio->tick";
-    "keccak256 (1KiB)"; "sha256 (1KiB)"; "sha256 (64B)"; "rng float";
+  [ "u256 mul_div"; "u256 sqrt"; "mont mul (bn254)"; "tick->sqrt ratio";
+    "sqrt ratio->tick"; "keccak256 (1KiB)"; "sha256 (1KiB)"; "sha256 (64B)"; "rng float";
     "bls sign"; "bls verify";
     "threshold sign 11-of-16"; "pool swap (exact in)" ]
   |> List.map (fun n -> "ammboost/" ^ n)
@@ -48,7 +48,8 @@ let micro_names =
    numbers without this table going stale. *)
 let builtin_baseline_micro_ns =
   [ ("ammboost/u256 mul_div", 1349.9); ("ammboost/u256 sqrt", 6469.2);
-    ("ammboost/tick->sqrt ratio", 4546.7); ("ammboost/sqrt ratio->tick", 130382.8);
+    ("ammboost/mont mul (bn254)", 1318.9); ("ammboost/tick->sqrt ratio", 4546.7);
+    ("ammboost/sqrt ratio->tick", 130382.8);
     ("ammboost/keccak256 (1KiB)", 140086.3); ("ammboost/sha256 (1KiB)", 22705.3);
     ("ammboost/sha256 (64B)", 1621.8); ("ammboost/rng float", 1770.8);
     ("ammboost/bls sign", 17244.3); ("ammboost/bls verify", 23639.9);
@@ -65,6 +66,13 @@ let micro_tests () =
     Test.make ~name:"u256 mul_div" (Staged.stage (fun () -> U256.mul_div a b c))
   in
   let t_sqrt = Test.make ~name:"u256 sqrt" (Staged.stage (fun () -> U256.sqrt a)) in
+  (* One prime-field multiplication, as every Field.mul of the BLS layer. *)
+  let t_mont =
+    let ctx = U256.Mont.create ~modulus:Amm_crypto.Field.order in
+    let x = U256.Mont.to_mont ctx (U256.rem a Amm_crypto.Field.order) in
+    let y = U256.Mont.to_mont ctx (U256.rem b Amm_crypto.Field.order) in
+    Test.make ~name:"mont mul (bn254)" (Staged.stage (fun () -> U256.Mont.mul ctx x y))
+  in
   let t_tick =
     Test.make ~name:"tick->sqrt ratio"
       (Staged.stage (fun () -> Tick_math.get_sqrt_ratio_at_tick 123456))
@@ -140,8 +148,8 @@ let micro_tests () =
              ~min_amount_out:U256.zero ()))
   in
   Test.make_grouped ~name:"ammboost" ~fmt:"%s/%s"
-    [ t_muldiv; t_sqrt; t_tick; t_tick_inv; t_keccak; t_sha; t_sha_block; t_rng;
-      t_sign; t_verify; t_threshold; t_swap ]
+    [ t_muldiv; t_sqrt; t_mont; t_tick; t_tick_inv; t_keccak; t_sha; t_sha_block;
+      t_rng; t_sign; t_verify; t_threshold; t_swap ]
 
 (* AMMBOOST_MICRO_QUOTA=<seconds> shrinks the per-test sampling budget —
    CI's perf-guard runs at a reduced quota so the job stays fast. *)

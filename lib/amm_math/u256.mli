@@ -2,8 +2,10 @@
 
     Values are immutable. Arithmetic wraps modulo 2^256 unless the function
     name says otherwise ([checked_*] variants raise {!Overflow}). The
-    representation is an array of sixteen base-2^16 digits, little-endian,
-    which keeps every intermediate product within OCaml's native [int]. *)
+    representation is nine little-endian limbs: limbs 0-7 hold 30 bits
+    each and limb 8 holds bits 240-255. A limb product is below 2^60, so
+    every intermediate stays within OCaml's native [int], and a value is
+    one 10-word block allocated inline. *)
 
 type t
 
@@ -53,6 +55,15 @@ val to_bytes_be : t -> bytes
 
 val of_bytes_be : bytes -> t
 (** Inverse of {!to_bytes_be}; accepts 1..32 bytes. *)
+
+val get_bytes_be : bytes -> int -> t
+(** [get_bytes_be b off] reads the 32 big-endian bytes at [off] in place,
+    without copying them out first. Raises [Invalid_argument] unless
+    [0 <= off <= Bytes.length b - 32]. *)
+
+val set_bytes_be : bytes -> int -> t -> unit
+(** [set_bytes_be b off x] writes the 32-byte big-endian encoding of [x]
+    at [off]; the inverse of {!get_bytes_be}, same bounds. *)
 
 (** {1 Comparison} *)
 
@@ -146,10 +157,11 @@ val sqrt : t -> t
     When many multiplications share one odd modulus (prime-field
     arithmetic, most notably), a precomputed context replaces the
     512-bit product + Knuth division of {!mul_mod} with a CIOS
-    Montgomery reduction: no division at all, just shifts against
-    [-m⁻¹ mod 2^16]. Values live in Montgomery form [x·R mod m]
-    (R = 2^256) between {!Mont.to_mont} and {!Mont.of_mont}; {!Mont.mul}
-    is closed over that form. *)
+    Montgomery reduction: no division at all, one limb shift per row
+    against [-m⁻¹ mod 2^30]. Values live in Montgomery form [x·R mod m]
+    (R = 2^270, one power of the 30-bit limb base per limb) between
+    {!Mont.to_mont} and {!Mont.of_mont}; {!Mont.mul} is closed over that
+    form. Any odd modulus below 2^256 works. *)
 
 module Mont : sig
   type ctx

@@ -1,7 +1,7 @@
 module U256 = Amm_math.U256
 module Mont = U256.Mont
 
-(* Elements are stored in Montgomery form (x·R mod order, R = 2^256):
+(* Elements are stored in Montgomery form (x·R mod order, R = 2^270):
    the BN254 order is fixed for the lifetime of the program, so every
    multiplication runs through the precomputed CIOS context instead of
    the generic 512-bit product + Knuth division of [U256.mul_mod].

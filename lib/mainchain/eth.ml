@@ -94,9 +94,16 @@ let leg_time t = (propagation_fraction +. Rng.float t.rng) *. t.intervl
 let heap_less a b =
   a.ready_at < b.ready_at || (a.ready_at = b.ready_at && a.seq < b.seq)
 
+(* Every slot at or past [heap_len] holds this inert record, never a
+   real transaction: a stale copy would keep a mined transaction's
+   [execute] closure, and everything it captures, reachable. *)
+let vacant =
+  { spec = { label = ""; size_bytes = 0; gas = 0; flow_txs = 0; tag = None; execute = None };
+    submitted_at = 0.0; ready_at = 0.0; seq = -1 }
+
 let heap_push t p =
   if t.heap_len = Array.length t.heap then begin
-    let h = Array.make (Stdlib.max 16 (2 * Array.length t.heap)) p in
+    let h = Array.make (Stdlib.max 16 (2 * Array.length t.heap)) vacant in
     Array.blit t.heap 0 h 0 t.heap_len;
     t.heap <- h
   end;
@@ -122,6 +129,7 @@ let heap_pop t =
   let root = t.heap.(0) in
   t.heap_len <- t.heap_len - 1;
   t.heap.(0) <- t.heap.(t.heap_len);
+  t.heap.(t.heap_len) <- vacant;
   let i = ref 0 and sifting = ref (t.heap_len > 1) in
   while !sifting do
     let l = (2 * !i) + 1 and r = (2 * !i) + 2 in

@@ -791,6 +791,47 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
 
+(* ------------------------------------------------------------------ *)
+(* Golden signature bytes                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Pinned bytes: the field's internal representation (limb layout,
+   Montgomery R) may change, what it signs and serializes may not. *)
+let zero_hex n = String.make n '0'
+
+let test_golden_bls () =
+  let sk, pk = Bls.keygen (Rng.create "golden bls") in
+  let s = Bls.sign sk (Bytes.of_string "epoch 42 summary") in
+  Alcotest.(check string) "public key"
+    (zero_hex 192 ^ "09a4f29d35c59b3edbbba80e416c3922b28899c628a8c1691d6b65c09e211ad8")
+    (Hex.of_bytes (Bls.public_key_to_bytes pk));
+  Alcotest.(check string) "signature"
+    (zero_hex 64 ^ "07e360297234502d596c75240a34e03682085f6cb8e041e1baa09548b038b7d2")
+    (Hex.of_bytes (Bls.signature_to_bytes s))
+
+let test_golden_threshold () =
+  let vk, _, shares = Bls.dkg (Rng.create "golden dkg") ~n:16 ~threshold:11 in
+  let msg = Bytes.of_string "epoch 42 sync payload" in
+  let partials = List.map (fun sh -> Bls.partial_sign sh msg) shares in
+  Alcotest.(check string) "group key"
+    (zero_hex 192 ^ "2ac1e655415d8b5e3f0d73e15d83faee2adf2df0318bcc6e44a2a7ab303c130f")
+    (Hex.of_bytes (Bls.public_key_to_bytes vk));
+  let expect =
+    zero_hex 64 ^ "2fa9e7bb6745ac56fc2c8698e20ad05cb6c2a129426207f707a2f4ae39ac4a2b"
+  in
+  List.iter
+    (fun (name, keep) ->
+      match Bls.combine ~threshold:11 (List.filteri (fun i _ -> keep i) partials) with
+      | Some s -> Alcotest.(check string) name expect (Hex.of_bytes (Bls.signature_to_bytes s))
+      | None -> Alcotest.fail (name ^ ": combine failed"))
+    [ ("first 11 of 16", fun i -> i < 11); ("last 11 of 16", fun i -> i >= 5) ]
+
+let test_golden_vrf () =
+  let sk, _ = Bls.keygen (Rng.create "golden vrf") in
+  let out, _ = Vrf.evaluate sk (Bytes.of_string "epoch 42 seed") in
+  Alcotest.(check string) "output"
+    "54f3297735722f4df8950bef2200e474863b3f64b75e505e0b1b4f0e48737f0f" (Hex.of_bytes out)
+
 let () =
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -841,4 +882,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "golden streams" `Quick test_rng_golden;
-          Alcotest.test_case "counter block" `Quick test_rng_counter_block ] ) ]
+          Alcotest.test_case "counter block" `Quick test_rng_counter_block ] );
+      ( "golden",
+        [ Alcotest.test_case "bls sign bytes" `Quick test_golden_bls;
+          Alcotest.test_case "threshold 11-of-16 bytes" `Quick test_golden_threshold;
+          Alcotest.test_case "vrf output" `Quick test_golden_vrf ] ) ]

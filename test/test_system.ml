@@ -549,6 +549,34 @@ let eth_drain_order_prop =
          in
          !included = expected))
 
+(* A mined transaction's [execute] closure must not stay reachable from
+   the pending heap's spare slots. The closure is watched through a weak
+   pointer while a later transaction is still pending. *)
+let submit_watched eth weak ~at executed =
+  let execute = Sys.opaque_identity (fun h -> executed := h :: !executed) in
+  Weak.set weak 0 (Some execute);
+  Mainchain.Eth.submit eth ~at
+    { Mainchain.Eth.label = "op"; size_bytes = 64; gas = 21_000; flow_txs = 1;
+      tag = None; execute = Some execute }
+[@@inline never]
+
+let test_eth_mined_closure_freed () =
+  let rng = Amm_crypto.Rng.create "eth-leak" in
+  let eth = Mainchain.Eth.create ~interval:12.0 ~rng () in
+  let weak = Weak.create 1 and executed = ref [] in
+  submit_watched eth weak ~at:0.0 executed;
+  Mainchain.Eth.submit eth ~at:500.0
+    { Mainchain.Eth.label = "op"; size_bytes = 64; gas = 21_000; flow_txs = 1;
+      tag = None; execute = Some (fun h -> executed := h :: !executed) };
+  Mainchain.Eth.advance_to eth 40.0;
+  Alcotest.(check int) "first mined" 1 (List.length !executed);
+  Alcotest.(check int) "second pending" 1 (Mainchain.Eth.pending_count eth);
+  Gc.full_major ();
+  Alcotest.(check bool) "mined closure freed" false (Weak.check weak 0);
+  Mainchain.Eth.advance_to eth 600.0;
+  Alcotest.(check int) "second mined" 2 (List.length !executed);
+  Alcotest.(check int) "pool empty" 0 (Mainchain.Eth.pending_count eth)
+
 let test_eth_rollback_drops_tags () =
   let rng = Amm_crypto.Rng.create "eth3" in
   let eth = Mainchain.Eth.create ~interval:12.0 ~rng () in
@@ -676,4 +704,5 @@ let () =
         [ Alcotest.test_case "blocks and latency" `Quick test_eth_block_production_and_latency;
           Alcotest.test_case "gas limit" `Quick test_eth_gas_limit_congestion;
           Alcotest.test_case "rollback" `Quick test_eth_rollback_drops_tags;
-          eth_drain_order_prop ] ) ]
+          eth_drain_order_prop;
+          Alcotest.test_case "mined closure freed" `Quick test_eth_mined_closure_freed ] ) ]
