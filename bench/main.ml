@@ -38,7 +38,7 @@ let micro_names =
   [ "u256 mul_div"; "u256 sqrt"; "mont mul (bn254)"; "tick->sqrt ratio";
     "sqrt ratio->tick"; "keccak256 (1KiB)"; "sha256 (1KiB)"; "sha256 (64B)"; "rng float";
     "bls sign"; "bls verify";
-    "threshold sign 11-of-16"; "pool swap (exact in)" ]
+    "threshold sign 11-of-16"; "pool swap (exact in)"; "bank deposit (5k accounts)" ]
   |> List.map (fun n -> "ammboost/" ^ n)
 
 (* ns/run measured on the pre-optimisation tree (same machine class, same
@@ -54,7 +54,8 @@ let builtin_baseline_micro_ns =
     ("ammboost/sha256 (64B)", 1621.8); ("ammboost/rng float", 1770.8);
     ("ammboost/bls sign", 17244.3); ("ammboost/bls verify", 23639.9);
     ("ammboost/threshold sign 11-of-16", 145973092.7);
-    ("ammboost/pool swap (exact in)", 89366.4) ]
+    ("ammboost/pool swap (exact in)", 89366.4);
+    ("ammboost/bank deposit (5k accounts)", 3785.1) ]
 
 let micro_tests () =
   let open Bechamel in
@@ -147,9 +148,41 @@ let micro_tests () =
            Uniswap.Router.exact_input pool ~zero_for_one:!flip ~amount_in:amount
              ~min_amount_out:U256.zero ()))
   in
+  (* One epoch deposit (two transfer_from pulls plus the deposit-book
+     update) against a bank whose ERC20s hold 5k funded, approved
+     accounts, cycling through them. A checkpoint is outstanding, as it
+     is for most of a run: the undo journal is live. *)
+  let t_deposit =
+    let erc0 = Mainchain.Erc20.deploy (Chain.Token.make ~id:0 ~symbol:"TKA") in
+    let erc1 = Mainchain.Erc20.deploy (Chain.Token.make ~id:1 ~symbol:"TKB") in
+    let bank =
+      Tokenbank.Token_bank.deploy ~token0:erc0 ~token1:erc1 ~genesis_committee_vk:pk
+    in
+    ignore (Tokenbank.Token_bank.create_pool bank ~flash_fee_pips:3000);
+    let spender = Tokenbank.Token_bank.address bank in
+    let faucet = U256.of_string "1000000000000000000000000000000000" in
+    let users =
+      Array.init 5000 (fun i ->
+          let a = Chain.Address.of_label (Printf.sprintf "bench-user-%d" i) in
+          List.iter
+            (fun erc ->
+              Mainchain.Erc20.mint erc a faucet;
+              Mainchain.Erc20.approve erc ~owner:a ~spender U256.max_value)
+            [ erc0; erc1 ];
+          a)
+    in
+    ignore (Tokenbank.Token_bank.checkpoint bank);
+    let next = ref 0 in
+    Test.make ~name:"bank deposit (5k accounts)"
+      (Staged.stage (fun () ->
+           let user = users.(!next) in
+           next := (!next + 1) mod Array.length users;
+           Tokenbank.Token_bank.deposit bank ~user ~for_epoch:1 ~amount0:amount
+             ~amount1:amount))
+  in
   Test.make_grouped ~name:"ammboost" ~fmt:"%s/%s"
     [ t_muldiv; t_sqrt; t_mont; t_tick; t_tick_inv; t_keccak; t_sha; t_sha_block;
-      t_rng; t_sign; t_verify; t_threshold; t_swap ]
+      t_rng; t_sign; t_verify; t_threshold; t_swap; t_deposit ]
 
 (* AMMBOOST_MICRO_QUOTA=<seconds> shrinks the per-test sampling budget —
    CI's perf-guard runs at a reduced quota so the job stays fast. *)

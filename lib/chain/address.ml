@@ -13,6 +13,9 @@ let to_bytes t = Bytes.copy t
 let to_hex t = "0x" ^ Amm_crypto.Hex.of_bytes t
 let equal = Bytes.equal
 let compare = Bytes.compare
+(* Addresses are hash outputs: their first eight bytes are already
+   uniformly spread. *)
+let hash (t : t) = Int64.to_int (Bytes.get_int64_le t 0) land max_int
 let pp fmt t = Format.pp_print_string fmt (to_hex t)
 
 module Ord = struct

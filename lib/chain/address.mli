@@ -15,6 +15,10 @@ val to_bytes : t -> bytes
 val to_hex : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** Consistent with {!equal}; for hashed account tables. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t

@@ -605,9 +605,6 @@ let submit_epoch_deposits t ~for_epoch ~at =
   Array.iter
     (fun (u : Party.user) ->
       let deposit_size = Chain.Encoding.envelope_size + Chain.Encoding.selector_size + 64 in
-      let meter = Gas.meter () in
-      (* Metering runs against current state at submission; execution moves
-         the tokens when the transaction lands. *)
       let amount = t.cfg.Config.deposit_per_epoch in
       Eth.submit t.eth ~at
         { Eth.label = "deposit"; size_bytes = deposit_size;
@@ -617,7 +614,7 @@ let submit_epoch_deposits t ~for_epoch ~at =
             Some
               (fun _height ->
                 match
-                  Token_bank.deposit ~meter t.bank ~user:u.Party.address ~for_epoch
+                  Token_bank.deposit t.bank ~user:u.Party.address ~for_epoch
                     ~amount0:amount ~amount1:amount
                 with
                 | Ok () ->
@@ -1840,12 +1837,7 @@ let run ?sink ?durable cfg =
     let rec deposits_sum acc0 acc1 e =
       if e > t.deposits_submitted_until then (acc0, acc1)
       else begin
-        let s0, s1 =
-          List.fold_left
-            (fun (a0, a1) (_, (d0, d1)) -> (U256.add a0 d0, U256.add a1 d1))
-            (U256.zero, U256.zero)
-            (Token_bank.deposits_for_epoch t.bank ~epoch:e)
-        in
+        let s0, s1 = Token_bank.deposit_totals t.bank ~epoch:e in
         deposits_sum (U256.add acc0 s0) (U256.add acc1 s1) (e + 1)
       end
     in

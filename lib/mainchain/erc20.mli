@@ -23,13 +23,34 @@ val transfer :
   ?meter:Gas.meter -> t -> source:Address.t -> dest:Address.t -> U256.t -> (unit, string) result
 (** Moves value; fails when the balance is insufficient. *)
 
+(** {1 Checkpoints}
+
+    Balances and allowances sit in dense per-account slots; rollback
+    support is an undo journal that records a slot's pre-image on its
+    first write after each checkpoint, so the journal grows with the
+    slots touched, not with the writes. Nothing is journaled before the
+    first checkpoint. Checkpoints nest: restoring one discards every
+    newer one. *)
+
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** Snapshot of balances/allowances (cheap: persistent maps), used to
-    model mainchain rollbacks. *)
+(** O(1): a journal mark plus the total supply. Used to model mainchain
+    rollbacks and to revert failed flash loans. *)
 
 val restore : t -> checkpoint -> unit
+(** Undoes every write made since the checkpoint — O(slots touched
+    since). The checkpoint stays restorable; every newer one is
+    discarded and must not be restored. Raises [Invalid_argument] for a
+    released checkpoint. *)
+
+val release : t -> checkpoint -> unit
+(** Declares that no checkpoint older than this one will be restored,
+    dropping the journal entries below its mark. The checkpoint itself
+    (and any newer one) stays restorable. *)
+
+val journal_length : t -> int
+(** Pre-images currently held by the undo journal. *)
 
 val transfer_from :
   ?meter:Gas.meter ->

@@ -6,8 +6,8 @@ module Address = Chain.Address
    balance, per token. The user registry assigns rows in first-seen
    order; a separate sorted index of addresses is maintained
    incrementally on every account creation, so [users_sorted] never
-   sorts. The snapshot (already sorted — it comes from
-   [Address.Map.bindings]) loads as pure appends; only the few accounts
+   sorts. The snapshot (already sorted — [Token_bank.deposits_for_epoch]
+   returns address order) loads as pure appends; only the few accounts
    auto-created mid-epoch pay an insertion shift. *)
 
 module Reg = Flatstore.Registry.Make (struct

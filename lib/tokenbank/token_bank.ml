@@ -17,7 +17,7 @@ type pool_info = {
   flash_fee_pips : int;
 }
 
-module Epoch_map = Map.Make (Int)
+module Reg = Flatstore.Registry.Make (Address)
 
 type exit_claim = {
   claimant : Address.t;
@@ -33,13 +33,45 @@ type exit_claim = {
    bound to the address, [None] when it was absent. *)
 type exit_jentry = Address.t * exit_claim option
 
+(* One epoch's deposit book. Users are dense slots of the bank-wide
+   depositor registry; a book keeps both amounts per slot, a state byte
+   (0 = never present, 1 = absent again, 2 = present) and, in [members],
+   every slot that was ever present, in first-deposit order, so walking
+   a book costs its own size, not the registry's. *)
+type book = {
+  mutable d0 : U256.t array;
+  mutable d1 : U256.t array;
+  mutable state : Bytes.t;
+  mutable jgen : int array;  (* deposit generation of the slot's last pre-image *)
+  mutable members : int array;
+  mutable n_members : int;
+  mutable live : int;
+  born : int;  (* deposit generation the book was created in *)
+}
+
+(* Deposit-book undo journal. A slot's pre-image is recorded on its first
+   write in each generation (generations advance at every checkpoint and
+   restore). A book created in the current generation needs no slot
+   entries at all: undoing its creation drops it whole. *)
+type dep_jentry =
+  | Dep_slot of { book : book; slot : int; p0 : U256.t; p1 : U256.t; present : bool }
+  | Dep_created of int  (* epoch *)
+  | Dep_retired of int * book
+
 type t = {
   bank_address : Address.t;
   erc0 : Erc20.t;
   erc1 : Erc20.t;
   mutable pools : pool_info array;  (* indexed by pool_id *)
   mutable next_pool_id : int;
-  mutable user_deposits : (U256.t * U256.t) Address.Map.t Epoch_map.t;
+  depositors : Reg.t;
+  books : (int, book) Hashtbl.t;  (* pending deposits, by epoch *)
+  mutable consumed : int array;  (* per depositor slot: payload serial that listed it *)
+  mutable payload_serial : int;
+  mutable dgen : int;
+  mutable djournal : dep_jentry array;
+  mutable djlen : int;
+  mutable djbase : int;  (* absolute index of djournal.(0) *)
   positions_store : Pos_store.t;
   mutable vk : Bls.public_key;
   mutable synced_epoch : int;
@@ -64,7 +96,9 @@ let deploy ~token0 ~token1 ~genesis_committee_vk =
   { bank_address = Address.of_label "TokenBank";
     erc0 = token0; erc1 = token1;
     pools = [||]; next_pool_id = 0;
-    user_deposits = Epoch_map.empty;
+    depositors = Reg.create ~capacity:256 (); books = Hashtbl.create 8;
+    consumed = [||]; payload_serial = 0;
+    dgen = 0; djournal = [||]; djlen = 0; djbase = 0;
     positions_store = Pos_store.create ();
     vk = genesis_committee_vk;
     synced_epoch = -1;
@@ -154,14 +188,134 @@ let rejection_to_string = function
 (* Deposits                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let epoch_deposits t epoch =
-  Option.value ~default:Address.Map.empty (Epoch_map.find_opt epoch t.user_deposits)
+let djpush t e =
+  if t.djlen = Array.length t.djournal then begin
+    let grown = Array.make (Stdlib.max 16 (2 * t.djlen)) e in
+    Array.blit t.djournal 0 grown 0 t.djlen;
+    t.djournal <- grown
+  end;
+  t.djournal.(t.djlen) <- e;
+  t.djlen <- t.djlen + 1
+
+let is_present b s = s < Bytes.length b.state && Bytes.get b.state s = '\002'
+
+let book_get b s =
+  if is_present b s then (b.d0.(s), b.d1.(s)) else (U256.zero, U256.zero)
+
+let new_book t =
+  { d0 = [||]; d1 = [||]; state = Bytes.empty; jgen = [||];
+    members = [||]; n_members = 0; live = 0; born = t.dgen }
+
+let book_reserve b s =
+  let cap = Array.length b.d0 in
+  if s >= cap then begin
+    let n = Stdlib.max (s + 1) (Stdlib.max 64 (2 * cap)) in
+    let extend a fill = Array.append a (Array.make (n - cap) fill) in
+    b.d0 <- extend b.d0 U256.zero;
+    b.d1 <- extend b.d1 U256.zero;
+    b.jgen <- extend b.jgen 0;
+    b.state <- Bytes.extend b.state 0 (n - cap);
+    Bytes.fill b.state cap (n - cap) '\000'
+  end
+
+(* Every slot write goes through here: journal the pre-image once per
+   generation, then store. *)
+let book_write t b s ~present v0 v1 =
+  book_reserve b s;
+  let was = is_present b s in
+  if b.born < t.dgen && b.jgen.(s) < t.dgen then begin
+    djpush t (Dep_slot { book = b; slot = s; p0 = b.d0.(s); p1 = b.d1.(s); present = was });
+    b.jgen.(s) <- t.dgen
+  end;
+  if present && Bytes.get b.state s = '\000' then begin
+    if b.n_members = Array.length b.members then
+      b.members <- Array.append b.members (Array.make (Stdlib.max 16 b.n_members) 0);
+    b.members.(b.n_members) <- s;
+    b.n_members <- b.n_members + 1
+  end;
+  Bytes.set b.state s (if present then '\002' else '\001');
+  if present && not was then b.live <- b.live + 1
+  else if was && not present then b.live <- b.live - 1;
+  b.d0.(s) <- v0;
+  b.d1.(s) <- v1
+
+let book_iter b f =
+  for i = 0 to b.n_members - 1 do
+    let s = b.members.(i) in
+    if is_present b s then f s b.d0.(s) b.d1.(s)
+  done
+
+let book_for t epoch =
+  match Hashtbl.find_opt t.books epoch with
+  | Some b -> b
+  | None ->
+    let b = new_book t in
+    Hashtbl.replace t.books epoch b;
+    if t.dgen > 0 then djpush t (Dep_created epoch);
+    b
+
+(* A sync retires an epoch's book whole: one journal entry, and the
+   book itself is never written by the sync. *)
+let retire_book t epoch =
+  match Hashtbl.find_opt t.books epoch with
+  | Some b ->
+    Hashtbl.remove t.books epoch;
+    if t.dgen > 0 then djpush t (Dep_retired (epoch, b))
+  | None -> ()
+
+let depositor_slot t user =
+  let s = Reg.intern t.depositors user in
+  if s >= Array.length t.consumed then
+    t.consumed <-
+      Array.append t.consumed (Array.make (Stdlib.max 64 (Array.length t.consumed)) 0);
+  s
 
 let deposit_of t ~epoch user =
-  Option.value ~default:(U256.zero, U256.zero)
-    (Address.Map.find_opt user (epoch_deposits t epoch))
+  match (Hashtbl.find_opt t.books epoch, Reg.find t.depositors user) with
+  | Some b, Some s -> book_get b s
+  | _ -> (U256.zero, U256.zero)
 
-let deposits_for_epoch t ~epoch = Address.Map.bindings (epoch_deposits t epoch)
+let deposits_for_epoch t ~epoch =
+  match Hashtbl.find_opt t.books epoch with
+  | None -> []
+  | Some b ->
+    let acc = ref [] in
+    book_iter b (fun s d0 d1 -> acc := (Reg.key t.depositors s, (d0, d1)) :: !acc);
+    List.sort (fun (a, _) (b, _) -> Address.compare a b) !acc
+
+let deposit_totals t ~epoch =
+  match Hashtbl.find_opt t.books epoch with
+  | None -> (U256.zero, U256.zero)
+  | Some b ->
+    let t0 = ref U256.zero and t1 = ref U256.zero in
+    book_iter b (fun _ d0 d1 ->
+        t0 := U256.add !t0 d0;
+        t1 := U256.add !t1 d1);
+    (!t0, !t1)
+
+(* The deposit a summary entry draws on while applying one payload. Each
+   payload gets a fresh serial; a listed user's slot is stamped with it,
+   so a repeated listing draws nothing and the residual refund skips it —
+   the book itself stays untouched until it is retired. *)
+let begin_payload t = t.payload_serial <- t.payload_serial + 1
+
+let consume t book user =
+  match (book, Reg.find t.depositors user) with
+  | Some b, Some s ->
+    if t.consumed.(s) = t.payload_serial then (U256.zero, U256.zero)
+    else begin
+      t.consumed.(s) <- t.payload_serial;
+      book_get b s
+    end
+  | _ -> (U256.zero, U256.zero)
+
+(* Deposits the payload left unlisted, for the aggregate residual refund. *)
+let iter_unconsumed t book f =
+  match book with
+  | None -> ()
+  | Some b ->
+    book_iter b (fun s d0 d1 ->
+        if t.consumed.(s) <> t.payload_serial then f (Reg.key t.depositors s) d0 d1)
 
 let charge meter label amount =
   match meter with Some m -> Gas.charge m label amount | None -> ()
@@ -183,12 +337,9 @@ let deposit ?meter t ~user ~for_epoch ~amount0 ~amount1 =
     else Erc20.transfer_from ?meter t.erc1 ~spender:t.bank_address ~source:user
         ~dest:t.bank_address amount1
   in
-  let d0, d1 = deposit_of t ~epoch:for_epoch user in
-  t.user_deposits <-
-    Epoch_map.add for_epoch
-      (Address.Map.add user (U256.add d0 amount0, U256.add d1 amount1)
-         (epoch_deposits t for_epoch))
-      t.user_deposits;
+  let b = book_for t for_epoch and s = depositor_slot t user in
+  let d0, d1 = book_get b s in
+  book_write t b s ~present:true (U256.add d0 amount0) (U256.add d1 amount1);
   charge meter "deposit.bookkeeping" (Gas.sload + (2 * Gas.sstore_update));
   (* Deposits are the hottest bank entry point (one per user per epoch at
      the big sweep cells): don't pay for hex/decimal rendering unless the
@@ -268,9 +419,11 @@ let apply_payload t (m : Gas.meter) payload =
       | Error e -> failwith ("TokenBank.sync: custody underflow: " ^ e)
     end
   in
+  let book = Hashtbl.find_opt t.books payload.epoch in
+  begin_payload t;
   List.iter
     (fun u ->
-      let d0, d1 = deposit_of t ~epoch:payload.epoch u.user in
+      let d0, d1 = consume t book u.user in
       (* Payin beyond the deposit is taken out of the payout (§4.2). *)
       let short0 = if U256.ge d0 u.payin0 then U256.zero else U256.sub u.payin0 d0 in
       let short1 = if U256.ge d1 u.payin1 then U256.zero else U256.sub u.payin1 d1 in
@@ -279,22 +432,16 @@ let apply_payload t (m : Gas.meter) payload =
       let pay0 = U256.sub (U256.max u.payout0 short0) short0 in
       let pay1 = U256.sub (U256.max u.payout1 short1) short1 in
       send ~dest:u.user t.erc0 (U256.add pay0 residual0) ~token0:true;
-      send ~dest:u.user t.erc1 (U256.add pay1 residual1) ~token0:false;
-      t.user_deposits <-
-        Epoch_map.add payload.epoch
-          (Address.Map.remove u.user (epoch_deposits t payload.epoch))
-          t.user_deposits)
+      send ~dest:u.user t.erc1 (U256.add pay1 residual1) ~token0:false)
     payload.users;
   (* A delta payload lists only users with nonzero flows; every other
      deposit pending for this epoch is untouched in full. Refund the
-     leftovers in aggregate and retire the epoch's map wholesale, so
+     leftovers in aggregate and retire the epoch's book wholesale, so
      pending-deposit storage stays O(active), not O(population). *)
-  Address.Map.iter
-    (fun user (d0, d1) ->
+  iter_unconsumed t book (fun user d0 d1 ->
       send ~dest:user t.erc0 d0 ~token0:true;
-      send ~dest:user t.erc1 d1 ~token0:false)
-    (epoch_deposits t payload.epoch);
-  t.user_deposits <- Epoch_map.remove payload.epoch t.user_deposits;
+      send ~dest:user t.erc1 d1 ~token0:false);
+  retire_book t payload.epoch;
   Gas.charge m "payouts" (!payouts_dispensed * Gas.payout_transfer);
   t.vk <- payload.next_committee_vk;
   t.synced_epoch <- payload.epoch;
@@ -408,9 +555,7 @@ let find_position t pid = Pos_store.find t.positions_store pid
    committee vk, 3 per pending epoch-deposit entry (key + two amounts)
    and 6 per exit claim. *)
 let storage_words t =
-  let deposit_entries =
-    Epoch_map.fold (fun _ m acc -> acc + Address.Map.cardinal m) t.user_deposits 0
-  in
+  let deposit_entries = Hashtbl.fold (fun _ b acc -> acc + b.live) t.books 0 in
   (6 * Pos_store.length t.positions_store)
   + (2 * t.next_pool_id)
   + 4
@@ -567,16 +712,17 @@ let emergency_exit t ~claimant =
     (* Residual epoch deposits — never consumed by a sync — come back in
        full, regardless of which epoch they were scoped to. *)
     let refund0 = ref U256.zero and refund1 = ref U256.zero in
-    t.user_deposits <-
-      Epoch_map.map
-        (fun map ->
-          match Address.Map.find_opt claimant map with
-          | None -> map
-          | Some (d0, d1) ->
-            refund0 := U256.add !refund0 d0;
-            refund1 := U256.add !refund1 d1;
-            Address.Map.remove claimant map)
-        t.user_deposits;
+    (match Reg.find t.depositors claimant with
+    | None -> ()
+    | Some s ->
+      Hashtbl.iter
+        (fun _ b ->
+          if is_present b s then begin
+            refund0 := U256.add !refund0 b.d0.(s);
+            refund1 := U256.add !refund1 b.d1.(s);
+            book_write t b s ~present:false U256.zero U256.zero
+          end)
+        t.books);
     (* Drain the claim from the live pool balances, pool by pool,
        newest-created first (the historical list order). *)
     let rem0 = ref claim0 and rem1 = ref claim1 in
@@ -678,6 +824,8 @@ let reconcile t ~signed =
     List.iter
       (fun (p : Sync_payload.t) ->
         let open Sync_payload in
+        let book = Hashtbl.find_opt t.books p.epoch in
+        begin_payload t;
         List.iter
           (fun pe ->
             if Hashtbl.mem t.exit_table pe.owner then begin
@@ -703,7 +851,7 @@ let reconcile t ~signed =
             end
             else begin
               incr users_applied;
-              let d0, d1 = deposit_of t ~epoch:p.epoch u.user in
+              let d0, d1 = consume t book u.user in
               let short0 =
                 if U256.ge d0 u.payin0 then U256.zero else U256.sub u.payin0 d0
               in
@@ -736,25 +884,19 @@ let reconcile t ~signed =
               pay_out t m ~dest:u.user ~label:"reconcile.payout"
                 (U256.add pay0 residual0) ~token0:true;
               pay_out t m ~dest:u.user ~label:"reconcile.payout"
-                (U256.add pay1 residual1) ~token0:false;
-              t.user_deposits <-
-                Epoch_map.add p.epoch
-                  (Address.Map.remove u.user (epoch_deposits t p.epoch))
-                  t.user_deposits
+                (U256.add pay1 residual1) ~token0:false
             end)
           p.users;
         (* Deposits the delta payload leaves unlisted are pure residuals
            (exited claimants were already drained by their exit): refund
-           them in aggregate and retire the epoch's map, mirroring
+           them in aggregate and retire the epoch's book, mirroring
            [apply_payload]. *)
-        Address.Map.iter
-          (fun user (d0, d1) ->
+        iter_unconsumed t book (fun user d0 d1 ->
             paid0 := U256.add !paid0 d0;
             paid1 := U256.add !paid1 d1;
             pay_out t m ~dest:user ~label:"reconcile.payout" d0 ~token0:true;
-            pay_out t m ~dest:user ~label:"reconcile.payout" d1 ~token0:false)
-          (epoch_deposits t p.epoch);
-        t.user_deposits <- Epoch_map.remove p.epoch t.user_deposits;
+            pay_out t m ~dest:user ~label:"reconcile.payout" d1 ~token0:false);
+        retire_book t p.epoch;
         Hashtbl.replace live p.pool (!b0, !b1);
         t.vk <- p.next_committee_vk;
         t.synced_epoch <- p.epoch)
@@ -809,16 +951,17 @@ let snapshot t ~epoch =
       List.map (fun p -> (p.pool_id, (p.balance0, p.balance1))) (pools_newest_first t);
     snap_positions = positions t }
 
-(* A checkpoint is O(dirty): the only copied state is the (tiny) pool
-   array; everything else is either a persistent-map pointer (ERC-20
-   balances, epoch deposits, exit order) or a journal mark. [restore]
-   rewinds the position-store and exit-claim journals to those marks, so
-   its cost is proportional to the mutations made since the checkpoint,
-   not to the total number of positions. *)
+(* A checkpoint is O(1) apart from the (tiny) pool array: the position
+   store, both ERC-20s and the deposit books each keep an undo journal,
+   and a checkpoint is a mark in each (the exit order is a persistent
+   list pointer; the exit-claim table has its own small journal).
+   [restore] rewinds every journal to its mark, so its cost is
+   proportional to the state written since the checkpoint, not to the
+   number of positions, accounts or pending deposits. *)
 type checkpoint = {
   ck_pools : pool_info array;
   ck_next_pool_id : int;
-  ck_deposits : (U256.t * U256.t) Address.Map.t Epoch_map.t;
+  ck_dep_mark : int;
   ck_pos_mark : int;
   ck_exit_mark : int;
   ck_vk : Bls.public_key;
@@ -836,8 +979,9 @@ type checkpoint = {
 }
 
 let checkpoint t =
+  t.dgen <- t.dgen + 1;
   { ck_pools = Array.copy t.pools; ck_next_pool_id = t.next_pool_id;
-    ck_deposits = t.user_deposits;
+    ck_dep_mark = t.djbase + t.djlen;
     ck_pos_mark = Pos_store.mark t.positions_store;
     ck_exit_mark = t.exit_journal_len;
     ck_vk = t.vk; ck_synced_epoch = t.synced_epoch;
@@ -849,6 +993,26 @@ let checkpoint t =
     ck_paid_out = (t.paid_out0, t.paid_out1);
     ck_exit_order = t.exit_order }
 
+let undo_deposits t mark =
+  if mark > t.djbase + t.djlen then invalid_arg "Token_bank.restore: future deposit mark";
+  if mark < t.djbase then invalid_arg "Token_bank.restore: released deposit mark";
+  while t.djbase + t.djlen > mark do
+    t.djlen <- t.djlen - 1;
+    (match t.djournal.(t.djlen) with
+    | Dep_slot { book = b; slot = s; p0; p1; present } ->
+      let was = is_present b s in
+      Bytes.set b.state s (if present then '\002' else '\001');
+      if present && not was then b.live <- b.live + 1
+      else if was && not present then b.live <- b.live - 1;
+      b.d0.(s) <- p0;
+      b.d1.(s) <- p1
+    | Dep_created epoch -> Hashtbl.remove t.books epoch
+    | Dep_retired (epoch, b) -> Hashtbl.replace t.books epoch b);
+    (* Let the undone entry's book be collected. *)
+    t.djournal.(t.djlen) <- Dep_created 0
+  done;
+  t.dgen <- t.dgen + 1
+
 let restore t ck =
   Log.warn ~scope
     ~fields:
@@ -857,7 +1021,7 @@ let restore t ck =
     "state restored to pre-sync checkpoint";
   t.pools <- Array.copy ck.ck_pools;
   t.next_pool_id <- ck.ck_next_pool_id;
-  t.user_deposits <- ck.ck_deposits;
+  undo_deposits t ck.ck_dep_mark;
   Pos_store.undo_to t.positions_store ck.ck_pos_mark;
   t.vk <- ck.ck_vk;
   t.synced_epoch <- ck.ck_synced_epoch;
@@ -890,9 +1054,22 @@ let restore t ck =
   t.exit_order <- ck.ck_exit_order
 
 let release_checkpoint t ck =
-  Pos_store.release_below t.positions_store ck.ck_pos_mark
+  let mark = Stdlib.min ck.ck_dep_mark (t.djbase + t.djlen) in
+  if mark > t.djbase then begin
+    let drop = mark - t.djbase in
+    let keep = t.djlen - drop in
+    Array.blit t.djournal drop t.djournal 0 keep;
+    Array.fill t.djournal keep drop (Dep_created 0);
+    t.djlen <- keep;
+    t.djbase <- mark
+  end;
+  Pos_store.release_below t.positions_store ck.ck_pos_mark;
+  Erc20.release t.erc0 ck.ck_erc0;
+  Erc20.release t.erc1 ck.ck_erc1
 
 let checkpoint_journal_bytes t = Pos_store.journal_bytes t.positions_store
+
+let journal_length t = t.djlen + Erc20.journal_length t.erc0 + Erc20.journal_length t.erc1
 
 let positions_bytes t = Pos_store.to_bytes t.positions_store
 let positions_store t = t.positions_store

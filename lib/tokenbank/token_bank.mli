@@ -79,7 +79,14 @@ val deposit :
     funding epoch e+1 during epoch e never collides with e's sync. *)
 
 val deposit_of : t -> epoch:int -> Address.t -> U256.t * U256.t
+
 val deposits_for_epoch : t -> epoch:int -> (Address.t * (U256.t * U256.t)) list
+(** The epoch's pending deposits in ascending {!Address.compare} order —
+    the row order {!snapshot} hands the sidechain. *)
+
+val deposit_totals : t -> epoch:int -> U256.t * U256.t
+(** Σ of the epoch's pending deposits per token, without building the
+    sorted list. *)
 
 (** {1 Sync} *)
 
@@ -218,19 +225,26 @@ val snapshot : t -> epoch:int -> snapshot
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** O(dirty) state capture (contract fields plus both ERC20s), used to
+(** O(1) state capture (contract fields plus both ERC20s), used to
     model mainchain rollbacks abandoning executed Sync calls. The cost is
-    a handful of pointer copies plus journal marks on the flat position
-    store — nothing proportional to the number of open positions. *)
+    a handful of scalar copies plus marks in the undo journals of the
+    flat position store, both ERC20 ledgers and the deposit books —
+    nothing proportional to the number of positions, accounts or
+    pending deposits. *)
 
 val restore : t -> checkpoint -> unit
 (** Rewinds to the checkpoint by undoing the journal entries recorded
-    since it was taken — O(mutations since the checkpoint). *)
+    since it was taken — O(state written since the checkpoint). *)
 
 val release_checkpoint : t -> checkpoint -> unit
 (** Declares that no checkpoint older than this one will ever be
-    restored, letting the undo journal drop the history below its mark.
-    The checkpoint itself (and any newer one) stays restorable. *)
+    restored, letting all three journals drop the history below its
+    marks. The checkpoint itself (and any newer one) stays restorable. *)
+
+val journal_length : t -> int
+(** Entries currently held by the deposit-book and both ERC20 undo
+    journals. Each records one slot's first write after a checkpoint,
+    so the count is bounded by the slots touched, not the writes. *)
 
 val checkpoint_journal_bytes : t -> int
 (** Cumulative bytes copied into the position-store undo journal —
